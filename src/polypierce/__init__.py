@@ -35,7 +35,7 @@ from .geometry import (
 from .oracle import bound_audit, optimal_piercing, verify_piercing
 from .pierce_general import PiercingResult, pierce_general
 from .pierce_special import classify_special, pierce_special
-from .triangles import EmptyTriangle, TriangleType, enumerate_empty_triangles, midpoint_structure
+from .triangles import EmptyTriangle, enumerate_empty_triangles, midpoint_structure
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,6 @@ __all__ = [
     "bound_audit", "optimal_piercing", "verify_piercing",
     "PiercingResult", "pierce_general",
     "classify_special", "pierce_special",
-    "EmptyTriangle", "TriangleType", "enumerate_empty_triangles",
+    "EmptyTriangle", "enumerate_empty_triangles",
     "midpoint_structure",
 ]

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 verification/audit failure, 2 invalid input,
 3 claim violation (a counterexample artifact is written next to the output).
+Every input file is read through `formats`, which raises InvalidInstance for
+a missing, malformed or invalid file; `main` turns that into exit 2.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ import time
 from fractions import Fraction
 
 from .errors import ClaimViolation, GenerationExhausted, NotSpecialClass, TooLarge
-from .family import minimal_system, pairwise_check, validate_template
+from .family import minimal_system, pairwise_check
 from .formats import (
     InvalidInstance,
     counterexample_to_dict,
     family_to_dict,
     load_family,
+    load_points,
     oracle_result_to_dict,
-    points_from_list,
     result_to_dict,
     save_json,
 )
@@ -67,18 +69,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        fam = load_family(args.file)
-    except InvalidInstance as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    report = validate_template(fam.template)
+    fam = load_family(args.file)  # also validates the template
     bad = pairwise_check(fam)
-    for line in report:
-        print(f"template: {line}")
     for i, j in bad:
         print(f"disjoint members: {i} {j}")
-    if report or bad:
+    if bad:
         return EXIT_INVALID
     n0 = len(empty_types(minimal_system(fam)))
     print(f"ok: n={fam.template.n} members={len(fam.members)} empty_triangles={n0}")
@@ -86,11 +81,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_pierce(args) -> int:
-    try:
-        fam = load_family(args.file)
-    except InvalidInstance as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    fam = load_family(args.file)
     if pairwise_check(fam):
         print("family is not pairwise intersecting", file=sys.stderr)
         return EXIT_INVALID
@@ -120,11 +111,7 @@ def cmd_pierce(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    try:
-        fam = load_family(args.file)
-    except InvalidInstance as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    fam = load_family(args.file)
     t0 = time.perf_counter()
     try:
         res = optimal_piercing(fam, member_limit=args.limit)
@@ -144,17 +131,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        fam = load_family(args.file)
-    except InvalidInstance as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    import json
-
-    with open(args.points) as fh:
-        data = json.load(fh)
-    points = points_from_list(data.get("points", []))
-    report = verify_piercing(fam, points)
+    fam = load_family(args.file)
+    report = verify_piercing(fam, load_points(args.points))
     if report.ok:
         print(f"ok: all {len(fam.members)} members pierced")
         return EXIT_OK
@@ -163,17 +141,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        fam = load_family(args.file)
-    except InvalidInstance as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    points = []
-    if args.points:
-        import json
-
-        with open(args.points) as fh:
-            points = points_from_list(json.load(fh).get("points", []))
+    fam = load_family(args.file)
+    points = load_points(args.points) if args.points else []
     svg = render_svg(fam, points)
     with open(args.svg, "w") as fh:
         fh.write(svg)
@@ -288,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidInstance as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

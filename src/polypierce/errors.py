@@ -45,3 +45,7 @@ class AuditFailure(PolypierceError):
 
 class GenerationExhausted(PolypierceError):
     """Random instance generation hit its retry limit."""
+
+
+class GenerationInvariant(PolypierceError):
+    """A generated template broke a property its construction guarantees."""

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import ClaimViolation
 from .geometry import (
     Direction,
     Halfplane,
     Point,
     angle_cmp,
+    contains,
     cross,
     feasible,
+    region_vertices,
 )
-
-_INF = object()
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class RelatedPolygon:
         return [template.halfplane(j, c) for j, c in self.offsets.items()]
 
     def contains(self, template: Template, p: Point) -> bool:
-        return all(h.plus_contains(p) for h in self.halfplanes(template))
+        return contains(self.halfplanes(template), p)
 
 
 @dataclass(frozen=True)
@@ -86,45 +87,15 @@ class Family:
 
 @dataclass(frozen=True)
 class MinimalSystem:
-    """Per-direction tightest halfplane of a family, with attaining members."""
+    """Per-direction tightest halfplane of a family."""
 
     entries: dict[int, Halfplane]
-    witness: dict[int, int]
 
     def halfplanes(self) -> list[Halfplane]:
         return [self.entries[j] for j in sorted(self.entries)]
 
     def dirs(self) -> list[int]:
         return sorted(self.entries)
-
-
-def _edge_interval_positive(system: list[Halfplane], i: int) -> bool:
-    """Whether constraint i supports an edge of positive length of the region."""
-    hi_line = system[i]
-    a, b = hi_line.normal.a, hi_line.normal.b
-    n2 = a * a + b * b
-    p0 = Point(Fraction(a * hi_line.offset, n2), Fraction(b * hi_line.offset, n2))
-    tangent = Direction(-b, a)
-    lo, hi = _INF, _INF  # unbounded until constrained
-    for j, h in enumerate(system):
-        if j == i:
-            continue
-        coef = h.normal.a * tangent.a + h.normal.b * tangent.b
-        rhs = h.offset - h.normal.dot(p0)
-        if coef == 0:
-            if rhs < 0:
-                return False
-        elif coef > 0:
-            u = rhs / coef
-            if hi is _INF or u < hi:
-                hi = u
-        else:
-            u = rhs / coef
-            if lo is _INF or u > lo:
-                lo = u
-    if lo is _INF or hi is _INF:
-        return True
-    return lo < hi
 
 
 def validate_template(t: Template) -> list[str]:
@@ -159,9 +130,13 @@ def validate_template(t: Template) -> list[str]:
             )
     if report:
         return report
+    # Every gap is below pi, so the reference region is bounded: a halfplane
+    # supports an edge of positive length iff two distinct vertices lie on
+    # its boundary line.
     system = t.reference_halfplanes()
-    for i in range(t.n):
-        if not _edge_interval_positive(system, i):
+    verts = region_vertices(system)
+    for i, h in enumerate(system):
+        if sum(1 for v in verts if h.on_boundary(v)) < 2:
             report.append(f"halfplane {i} does not support an edge of positive length")
     return report
 
@@ -184,21 +159,22 @@ def pairwise_check(f: Family) -> list[tuple[int, int]]:
 
 def minimal_system(f: Family) -> MinimalSystem:
     entries: dict[int, Halfplane] = {}
-    witness: dict[int, int] = {}
-    for mi, member in enumerate(f.members):
+    for member in f.members:
         for j, c in member.offsets.items():
             if j not in entries or c < entries[j].offset:
                 entries[j] = f.template.halfplane(j, c)
-                witness[j] = mi
     dirs = sorted(entries)
     # Consequence of pairwise intersection: any two minimal plus sides meet.
     for x in range(len(dirs)):
         for y in range(x + 1, len(dirs)):
-            assert feasible([entries[dirs[x]], entries[dirs[y]]]) is not None, (
-                f"minimal halfplanes {dirs[x]} and {dirs[y]} are disjoint; "
-                "family is not pairwise intersecting"
-            )
-    return MinimalSystem(entries=entries, witness=witness)
+            if feasible([entries[dirs[x]], entries[dirs[y]]]) is None:
+                raise ClaimViolation(
+                    "pairwise-minimal",
+                    f"minimal halfplanes {dirs[x]} and {dirs[y]} are disjoint; "
+                    "family is not pairwise intersecting",
+                    family=f,
+                )
+    return MinimalSystem(entries=entries)
 
 
 def family_intersection_witness(f: Family) -> Optional[Point]:

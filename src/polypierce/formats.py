@@ -83,9 +83,26 @@ def save_family(f: Family, path: str) -> None:
         fh.write("\n")
 
 
+def read_json_object(path: str) -> dict:
+    """The JSON object stored at `path`; InvalidInstance when the file cannot
+    be read, is not JSON, or holds something other than an object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInstance(f"cannot read {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidInstance(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def load_family(path: str) -> Family:
-    with open(path) as fh:
-        return family_from_dict(json.load(fh))
+    return family_from_dict(read_json_object(path))
+
+
+def load_points(path: str) -> list[Point]:
+    """The "points" list of a result or points file (empty when absent)."""
+    return points_from_list(read_json_object(path).get("points", []))
 
 
 def points_to_list(points) -> list[list[str]]:
@@ -93,7 +110,12 @@ def points_to_list(points) -> list[list[str]]:
 
 
 def points_from_list(data) -> list[Point]:
-    return [Point(_rat(x), _rat(y)) for x, y in data]
+    try:
+        return [Point(_rat(x), _rat(y)) for x, y in data]
+    except InvalidInstance:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidInstance(f"malformed points: {exc}") from None
 
 
 def _trace_summary(node) -> dict:
@@ -107,8 +129,8 @@ def _trace_summary(node) -> dict:
     if node.notes.get("case2") is not None:
         c2 = node.notes["case2"]
         out["case2"] = {
-            "chosen_i": c2.chosen_i,
-            "X": [str(c2.X.x), str(c2.X.y)],
+            "chosen_i": c2["chosen_i"],
+            "X": [str(c2["X"].x), str(c2["X"].y)],
         }
     if node.children:
         out["children"] = [_trace_summary(c) for c in node.children]

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GenerationExhausted
+from .errors import GenerationExhausted, GenerationInvariant
 from .family import Family, RelatedPolygon, Template, member_nonempty, pairwise_check
 from .geometry import Direction, Point, angle_cmp, canonical_witness
 
@@ -114,7 +114,8 @@ def _theorem2_template(rng: random.Random, n: int) -> Template:
         lam = top * Fraction(w, total) / a
         offsets.append((d, d.a * vertex.x + d.b * vertex.y))
         vertex = Point(vertex.x - lam * b, vertex.y - lam * a)
-    assert vertex.y == 0 and vertex.x < 0
+    if not (vertex.y == 0 and vertex.x < 0):
+        raise GenerationInvariant(f"vertex walk ended at {vertex}, not on y = 0 left of x = 0")
     offsets.append((Direction(0, -1), Fraction(0)))
     return Template([d for d, _ in offsets], [c for _, c in offsets])
 

@@ -4,6 +4,11 @@ All coordinates are `fractions.Fraction`; every predicate is decided exactly.
 A halfplane is stored as an outward normal plus an offset.  Its plus side is
 {p : normal . p <= offset}, the minus side is {p : normal . p >= offset}, and
 the two sides share the boundary line.
+
+`_plus_vertices` is the one place that enumerates meets of boundary lines:
+the witness (`_solve`), the region's vertices (`region_vertices`) and, through
+them, template validation and SVG clipping all read its list.  `contains` is
+the one plus-side containment predicate.
 """
 
 from __future__ import annotations
@@ -79,19 +84,13 @@ def cross(d1: Direction, d2: Direction) -> int:
     return d1.a * d2.b - d1.b * d2.a
 
 
-def angle_key(d: Direction):
-    """Sort key realizing exact polar order on [0, 2pi) from the +x axis.
-
-    Within one half-plane of angles the order is decided by a cross product,
-    so the key is a (half, cmp) pair usable via tuple comparison only after
-    pairing with cmp_to_key; use `sort_by_angle` instead of this directly.
-    """
-    upper = 0 if (d.b > 0 or (d.b == 0 and d.a > 0)) else 1
-    return upper
-
-
 def angle_cmp(d1: Direction, d2: Direction) -> int:
-    h1, h2 = angle_key(d1), angle_key(d2)
+    """Exact polar order on [0, 2pi) from the +x axis, as a cmp function.
+
+    Directions in different half-turns compare by half-turn; within one, a
+    cross product decides.
+    """
+    h1, h2 = (0 if (d.b > 0 or (d.b == 0 and d.a > 0)) else 1 for d in (d1, d2))
     if h1 != h2:
         return -1 if h1 < h2 else 1
     c = cross(d1, d2)
@@ -116,7 +115,11 @@ class Halfplane:
         return self.normal.dot(p) - self.offset
 
     def plus_contains(self, p: Point) -> bool:
-        return self.value(p) <= 0
+        # value(p) <= 0 with the positive denominators cleared: integer work
+        # only, since this is the innermost test of every kernel call.
+        n, x, y, c = self.normal, p.x, p.y, self.offset
+        lhs = n.a * x.numerator * y.denominator + n.b * y.numerator * x.denominator
+        return lhs * c.denominator <= c.numerator * x.denominator * y.denominator
 
     def minus_contains(self, p: Point) -> bool:
         return self.value(p) >= 0
@@ -153,6 +156,21 @@ def _foot_of_perpendicular(h: Halfplane) -> Point:
     a, b, c = h.normal.a, h.normal.b, h.offset
     n2 = a * a + b * b
     return Point(Fraction(a, 1) * c / n2, Fraction(b, 1) * c / n2)
+
+
+def _plus_vertices(system: Sequence[Halfplane]) -> list[Point]:
+    """Every meet of two boundary lines that lies in all plus sides.
+
+    Pairs are taken in index order (i < j); a point where more than two
+    boundary lines meet appears once per pair.
+    """
+    out = []
+    for i in range(len(system)):
+        for j in range(i + 1, len(system)):
+            p = line_intersect(system[i], system[j])
+            if p is not None and contains(system, p):
+                out.append(p)
+    return out
 
 
 def _solve(system: Sequence[Halfplane]) -> Optional[Point]:
@@ -200,17 +218,7 @@ def _solve(system: Sequence[Halfplane]) -> Optional[Point]:
 
     # Some pair of normals is independent: a nonempty region has a vertex,
     # and every vertex is the meet of two boundary lines.
-    best: Optional[Point] = None
-    for i in range(len(system)):
-        for j in range(i + 1, len(system)):
-            p = line_intersect(system[i], system[j])
-            if p is None:
-                continue
-            if not contains(system, p):
-                continue
-            if best is None or (p.x, p.y) < (best.x, best.y):
-                best = p
-    return best
+    return min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
 
 
 def feasible(system: Sequence[Halfplane]) -> Optional[Point]:
@@ -235,16 +243,10 @@ def region_vertices(system: Sequence[Halfplane]) -> list[Point]:
     """All vertices of the plus-intersection, sorted counterclockwise.
 
     Intended for bounded regions (rendering, template validation); for
-    unbounded regions it returns whatever vertices exist.
+    unbounded regions it returns whatever vertices exist.  Two or fewer
+    vertices come back in lexicographic order.
     """
-    verts: list[Point] = []
-    for i in range(len(system)):
-        for j in range(i + 1, len(system)):
-            p = line_intersect(system[i], system[j])
-            if p is None or not contains(system, p):
-                continue
-            if p not in verts:
-                verts.append(p)
+    verts = list(dict.fromkeys(_plus_vertices(system)))
     if len(verts) <= 2:
         return sorted(verts, key=lambda q: (q.x, q.y))
     cx = sum(v.x for v in verts) / len(verts)

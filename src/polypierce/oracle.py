@@ -43,11 +43,9 @@ def verify_piercing(f: Family, points: list[Point]) -> VerificationReport:
                               per_member_hits=hits)
 
 
-def _group_feasible(f: Family, indices) -> bool:
-    system = []
-    for i in indices:
-        system.extend(f.member_halfplanes(i))
-    return feasible(system) is not None
+def _joint_system(f: Family, indices) -> list:
+    """The members' halfplanes, concatenated in index order."""
+    return [h for i in indices for h in f.member_halfplanes(i)]
 
 
 def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
@@ -59,7 +57,7 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
     small_ok: dict[tuple[int, ...], bool] = {}
     for size in (1, 2, 3):
         for combo in combinations(range(m), size):
-            small_ok[combo] = _group_feasible(f, combo)
+            small_ok[combo] = feasible(_joint_system(f, combo)) is not None
 
     def mask_feasible(mask: int) -> bool:
         bits = [i for i in range(m) if mask >> i & 1]
@@ -98,12 +96,7 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
         groups.append([i for i in range(m) if sub >> i & 1])
         mask ^= sub
     groups.sort()
-    witness_points = []
-    for g in groups:
-        system = []
-        for i in g:
-            system.extend(f.member_halfplanes(i))
-        witness_points.append(canonical_witness(system))
+    witness_points = [canonical_witness(_joint_system(f, g)) for g in groups]
     return OracleResult(optimum=dp[full], witness_points=witness_points,
                         witness_groups=groups)
 

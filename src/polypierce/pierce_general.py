@@ -14,8 +14,8 @@ from typing import Optional
 
 from .errors import ClaimViolation
 from .family import Family, RelatedPolygon, minimal_system
-from .geometry import Point, canonical_witness
-from .triangles import EmptyTriangle, TriangleType, empty_types, enumerate_empty_triangles
+from .geometry import Point, canonical_witness, contains
+from .triangles import EmptyTriangle, empty_types, enumerate_empty_triangles
 
 
 @dataclass
@@ -40,20 +40,40 @@ class PiercingResult:
 
 
 def restricted_hull_contains(
-    family: Family, member: RelatedPolygon, t: TriangleType, p: Point
+    family: Family, member: RelatedPolygon, dirs: tuple[int, int, int], p: Point
 ) -> bool:
-    """Containment in the member's hull restricted to the triple's directions.
+    """Containment in the member's hull restricted to the directions `dirs`.
 
     Directions the member does not use impose no constraint, so this is
     vacuously true for members using none of them.
     """
-    for j in t.dirs:
-        c = member.offsets.get(j)
-        if c is None:
-            continue
-        if not family.template.halfplane(j, c).plus_contains(p):
-            return False
-    return True
+    return contains(
+        [family.template.halfplane(j, c) for j, c in member.offsets.items() if j in dirs], p
+    )
+
+
+def _point_indices(points: list[Point], new_points) -> list[int]:
+    """Index of each new point in `points`, appending the ones not yet there."""
+    idxs = []
+    for p in new_points:
+        if p not in points:
+            points.append(p)
+        idxs.append(points.index(p))
+    return idxs
+
+
+def _check_result(f: Family, points, assignment, bound: int, bound_text: str) -> None:
+    """The final claims of both algorithms: at most `bound` points, and every
+    member contains its assigned point."""
+    if len(points) > bound:
+        raise ClaimViolation(
+            "point-bound", f"emitted {len(points)} points, above {bound_text}", family=f
+        )
+    for i, member in enumerate(f.members):
+        if not member.contains(f.template, points[assignment[i]]):
+            raise ClaimViolation(
+                "soundness", f"member {i} does not contain its assigned point", family=f
+            )
 
 
 def partition_by_midpoints(
@@ -67,18 +87,17 @@ def partition_by_midpoints(
     """
     if member_ids is None:
         member_ids = list(range(len(f.members)))
-    ttype = e.type
     buckets: tuple[list[int], list[int], list[int]] = ([], [], [])
     for i in member_ids:
         member = f.members[i]
         for t in range(3):
-            if restricted_hull_contains(f, member, ttype, e.midpoints[t]):
+            if restricted_hull_contains(f, member, e.dirs, e.midpoints[t]):
                 buckets[t].append(i)
                 break
         else:
             raise ClaimViolation(
                 "midpoint-partition",
-                f"member {i}: restricted hull to dirs {ttype.dirs} contains "
+                f"member {i}: restricted hull to dirs {e.dirs} contains "
                 "none of the three edge midpoints",
                 family=f,
             )
@@ -100,11 +119,7 @@ def _recurse(f: Family, member_ids: list[int], parent_types, points, assignment)
         )
     if not triangles:
         w = canonical_witness(ms.halfplanes())
-        if w in points:
-            idx = points.index(w)
-        else:
-            idx = len(points)
-            points.append(w)
+        (idx,) = _point_indices(points, [w])
         for i in member_ids:
             assignment[i] = idx
         node.leaf_witness = w
@@ -128,19 +143,7 @@ def pierce_general(f: Family) -> PiercingResult:
     assignment: dict[int, int] = {}
     trace = _recurse(f, all_ids, None, points, assignment)
     bound = 3 ** n0
-    if len(points) > bound:
-        raise ClaimViolation(
-            "point-bound",
-            f"emitted {len(points)} points, above 3^{n0}",
-            family=f,
-        )
-    for i in all_ids:
-        if not f.members[i].contains(f.template, points[assignment[i]]):
-            raise ClaimViolation(
-                "soundness",
-                f"member {i} does not contain its assigned point",
-                family=f,
-            )
+    _check_result(f, points, assignment, bound, f"3^{n0}")
     return PiercingResult(
         points=points,
         assignment=assignment,

@@ -23,7 +23,7 @@ from .geometry import (
     canonical_witness,
     line_intersect,
 )
-from .pierce_general import PiercingResult, TraceNode
+from .pierce_general import PiercingResult, TraceNode, _check_result, _point_indices
 from .triangles import EmptyTriangle, _build_triangle, empty_types
 
 _DOWN = Direction(0, -1)
@@ -35,19 +35,6 @@ class SpecialForm:
     h_index: int
     v_index: int
     slope_indices: tuple[tuple[int, Fraction], ...]  # (dir index, edge slope), ascending
-
-
-@dataclass
-class Case2Construction:
-    H: Point
-    h_s: Halfplane
-    v_s: Halfplane
-    P: Point
-    chosen_i: int
-    P_i: Point
-    X: Point
-    Y: Point
-    T_i_vertices: tuple[Point, Point, Point]
 
 
 def edge_slope(d: Direction) -> Optional[Fraction]:
@@ -78,7 +65,8 @@ def classify_special(t) -> Optional[SpecialForm]:
     if h_index is None or v_index is None:
         return None
     slopes.sort()
-    assert len({s for s, _ in slopes}) == len(slopes), "duplicate slopes"
+    if len({s for s, _ in slopes}) != len(slopes):
+        raise ClaimViolation("distinct-slopes", "two edge normals have the same slope")
     return SpecialForm(
         h_index=h_index,
         v_index=v_index,
@@ -110,15 +98,6 @@ def _named_midpoints(e: EmptyTriangle, sf: SpecialForm, s: int):
     """Midpoints keyed by the side they lie on: (M_h, M_v, M_s)."""
     by_dir = dict(zip(e.dirs, e.midpoints))
     return by_dir[sf.h_index], by_dir[sf.v_index], by_dir[s]
-
-
-def _emit(points: list[Point], new_points) -> list[int]:
-    idxs = []
-    for p in new_points:
-        if p not in points:
-            points.append(p)
-        idxs.append(points.index(p))
-    return idxs
 
 
 def _assign_and_remove(f, remaining, points, new_idxs, assignment):
@@ -172,23 +151,18 @@ def _pierce_n3(f: Family, sf: SpecialForm) -> PiercingResult:
                 "hv-triple-shape", f"unexpected empty triples {sorted(types)}", family=f
             )
         e = _build_triangle(dirs, tuple(ms.entries[j] for j in dirs))
-        m_h, m_v, m_s = _named_midpoints(e, sf, s)
-        _emit(points, [m_h, m_v, m_s])
+        idxs = _point_indices(points, _named_midpoints(e, sf, s))
         trace.chosen_type = dirs
     else:
-        _emit(points, [canonical_witness(ms.halfplanes())])
+        idxs = _point_indices(points, [canonical_witness(ms.halfplanes())])
         trace.leaf_witness = points[0]
-    for i, member in enumerate(f.members):
-        for idx, p in enumerate(points):
-            if member.contains(f.template, p):
-                assignment[i] = idx
-                break
-        else:
-            raise ClaimViolation(
-                "n3-midpoint-piercing",
-                f"member {i} contains none of the emitted points",
-                family=f,
-            )
+    unpierced = _assign_and_remove(f, range(len(f.members)), points, idxs, assignment)
+    if unpierced:
+        raise ClaimViolation(
+            "n3-midpoint-piercing",
+            f"member {unpierced[0]} contains none of the emitted points",
+            family=f,
+        )
     return PiercingResult(
         points=points,
         assignment=assignment,
@@ -235,7 +209,7 @@ def pierce_special(f: Family) -> PiercingResult:
         trace.children.append(node)
         if not candidates:
             w = canonical_witness(ms.halfplanes())
-            idxs = _emit(points, [w])
+            idxs = _point_indices(points, [w])
             node.leaf_witness = w
             remaining = _assign_and_remove(f, remaining, points, idxs, assignment)
             if remaining:
@@ -274,30 +248,31 @@ def pierce_special(f: Family) -> PiercingResult:
         if not strict_minus:
             new_points = [m_h, m_v, m_s]  # Case 1
         else:
-            # Case 2: auxiliary triangle H X Y on the smallest-slope line.
+            # Case 2: one auxiliary point X on the smallest-slope line s.  h_s
+            # is the horizontal line through H, where s meets the vertical
+            # line; P_i is the leftmost meet of h_s with a line that has M_s
+            # strictly on its minus side.  X is M_s when P_i lies right of
+            # M_s, else the point of s straight above or below P_i.
             H = line_intersect(ms.entries[s], ms.entries[sf.v_index])
             h_s = Halfplane(_DOWN, -H.y)
-            v_s = Halfplane(_RIGHT, m_s.x)
-            P = Point(m_s.x, H.y)
-            best = None
-            for j in strict_minus:
-                p_j = line_intersect(ms.entries[j], h_s)
-                if best is None or (p_j.x, j) < (best[1].x, best[0]):
-                    best = (j, p_j)
-            chosen_i, P_i = best
-            if P_i.x > P.x:
-                X, Y = m_s, P
-            else:
-                Y = P_i
-                X = line_intersect(Halfplane(_RIGHT, P_i.x), ms.entries[s])
-            assert ms.entries[s].on_boundary(X)
-            node.notes["case2"] = Case2Construction(
-                H=H, h_s=h_s, v_s=v_s, P=P, chosen_i=chosen_i, P_i=P_i,
-                X=X, Y=Y, T_i_vertices=(H, X, Y),
+            chosen_i, P_i = min(
+                ((j, line_intersect(ms.entries[j], h_s)) for j in strict_minus),
+                key=lambda jp: (jp[1].x, jp[0]),
             )
+            if P_i.x > m_s.x:
+                X = m_s
+            else:
+                X = line_intersect(Halfplane(_RIGHT, P_i.x), ms.entries[s])
+            if not ms.entries[s].on_boundary(X):
+                raise ClaimViolation(
+                    "case2-x-on-line",
+                    f"auxiliary vertex X is off the boundary line of direction {s}",
+                    family=sub,
+                )
+            node.notes["case2"] = {"chosen_i": chosen_i, "X": X}
             new_points = [m_h, m_v, m_s, X]
 
-        idxs = _emit(points, new_points)
+        idxs = _point_indices(points, new_points)
         remaining = _assign_and_remove(f, remaining, points, idxs, assignment)
         if remaining:
             ms2 = minimal_system(f.subfamily(remaining))
@@ -308,17 +283,7 @@ def pierce_special(f: Family) -> PiercingResult:
                     family=f.subfamily(remaining),
                 )
 
-    if len(points) > bound:
-        raise ClaimViolation(
-            "point-bound", f"emitted {len(points)} points, above 4(n-2)={bound}",
-            family=f,
-        )
-    for i in range(len(f.members)):
-        if not f.members[i].contains(f.template, points[assignment[i]]):
-            raise ClaimViolation(
-                "soundness", f"member {i} does not contain its assigned point",
-                family=f,
-            )
+    _check_result(f, points, assignment, bound, f"4(n-2)={bound}")
     return PiercingResult(
         points=points,
         assignment=assignment,

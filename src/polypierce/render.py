@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .family import Family, minimal_system
-from .geometry import Direction, Halfplane, Point, line_intersect, region_vertices
+from .geometry import Direction, Halfplane, Point, region_vertices
 from .triangles import enumerate_empty_triangles
 
 _FILLS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -111,18 +111,10 @@ class _Canvas:
 
 
 def _clip_line_to_box(h: Halfplane, box: list[Halfplane]) -> Optional[tuple[Point, Point]]:
-    hits = []
-    for side in box:
-        p = line_intersect(h, side)
-        if p is None:
-            continue
-        if all(s.plus_contains(p) for s in box):
-            if p not in hits:
-                hits.append(p)
-    if len(hits) < 2:
-        return None
-    hits.sort(key=lambda p: (p.x, p.y))
-    return hits[0], hits[-1]
+    """The part of h's boundary line inside the box, as its two end points in
+    lexicographic order; None when the line misses the box or only touches it."""
+    ends = region_vertices(box + [h, Halfplane(h.normal.neg(), -h.offset)])
+    return (ends[0], ends[1]) if len(ends) == 2 else None
 
 
 def render_svg(f: Family, points: Optional[list[Point]] = None) -> str:

@@ -11,22 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DegenerateTriple
+from .errors import ClaimViolation, DegenerateTriple
 from .family import MinimalSystem
 from .geometry import Halfplane, Point, line_intersect, midpoint, triple_plus_empty
-
-
-@dataclass(frozen=True)
-class TriangleType:
-    """An ordered direction triple i < j < k identifying a triangle shape."""
-
-    dirs: tuple[int, int, int]
-
-    def __init__(self, dirs):
-        i, j, k = dirs
-        if not i < j < k:
-            raise ValueError("direction triple must be strictly increasing")
-        object.__setattr__(self, "dirs", (i, j, k))
 
 
 @dataclass(frozen=True)
@@ -35,10 +22,6 @@ class EmptyTriangle:
     sides: tuple[Halfplane, Halfplane, Halfplane]
     vertices: tuple[Point, Point, Point]
     midpoints: tuple[Point, Point, Point]
-
-    @property
-    def type(self) -> TriangleType:
-        return TriangleType(self.dirs)
 
 
 def _build_triangle(dirs, sides) -> EmptyTriangle:
@@ -53,13 +36,19 @@ def _build_triangle(dirs, sides) -> EmptyTriangle:
     # Plus-emptiness rules out concurrent lines (a shared point would be in
     # every closed plus side), so the triangle has positive area.
     area2 = (v13.x - v12.x) * (v23.y - v12.y) - (v13.y - v12.y) * (v23.x - v12.x)
-    assert area2 != 0
+    if area2 == 0:
+        raise ClaimViolation(
+            "triangle-area", f"direction triple {dirs} has concurrent minimal boundary lines"
+        )
     # Vertex t is opposite side t; midpoint t is the midpoint of the edge on
     # boundary line t (the two vertices lying on that line).
     vertices = (v23, v13, v12)
     midpoints = (midpoint(v12, v13), midpoint(v12, v23), midpoint(v13, v23))
     for t in range(3):
-        assert sides[t].on_boundary(midpoints[t])
+        if not sides[t].on_boundary(midpoints[t]):
+            raise ClaimViolation(
+                "triangle-midpoint", f"midpoint {t} of triple {dirs} is off its side"
+            )
     return EmptyTriangle(dirs=tuple(dirs), sides=tuple(sides), vertices=vertices,
                          midpoints=midpoints)
 
@@ -94,6 +83,10 @@ def midpoint_structure(e: EmptyTriangle):
         other = [e.midpoints[u] for u in range(3) if u != t]
         n = e.sides[t].normal
         c = n.dot(other[0])
-        assert n.dot(other[1]) == c
+        if n.dot(other[1]) != c:
+            raise ClaimViolation(
+                "medial-parallel",
+                f"the midpoints off side {t} of triple {e.dirs} are not on a parallel line",
+            )
         medial.append(Halfplane(n, c))
     return e.midpoints, tuple(medial)

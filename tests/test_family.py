@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import polypierce
 from polypierce import (
     Direction,
     Family,
@@ -50,6 +54,24 @@ class TestValidateTemplate:
     def test_wrong_cyclic_order(self):
         t = Template([Direction(1, 1), Direction(0, -1), Direction(-1, 0)], [1, 0, 0])
         assert any("cyclic" in v for v in validate_template(t))
+
+    @pytest.mark.parametrize(
+        "normals, offsets, reported",
+        [
+            # square plus x + y <= 2, which touches only the corner (1, 1)
+            ([(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)], [1, 2, 1, 1, 1], [1]),
+            # x + y <= -1, x >= 0, y >= 0: gaps below pi, empty region
+            ([(1, 1), (-1, 0), (0, -1)], [-1, 0, 0], [0, 1, 2]),
+            # the segment -1 <= x <= 1, y = 0: the x-edges have zero length
+            ([(1, 0), (0, 1), (-1, 0), (0, -1)], [1, 0, 1, 0], [0, 2]),
+        ],
+        ids=["corner-touch", "empty-region", "segment"],
+    )
+    def test_edges_without_positive_length(self, normals, offsets, reported):
+        t = Template([Direction(a, b) for a, b in normals], offsets)
+        assert validate_template(t) == [
+            f"halfplane {i} does not support an edge of positive length" for i in reported
+        ]
 
 
 class TestRelatedPolygon:
@@ -99,7 +121,25 @@ class TestMinimalSystem:
         fam = Family(unit_triangle, [RelatedPolygon({0: 1}), RelatedPolygon({0: 2})])
         ms = minimal_system(fam)
         assert list(ms.entries) == [0] and ms.entries[0].offset == 1
-        assert ms.witness[0] == 0
+
+    def test_disjoint_pair_raises_under_python_O(self):
+        # Checks must be raised errors, not asserts that -O strips.
+        code = (
+            "from polypierce import *\n"
+            "t = Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0),"
+            " Direction(0, -1)], [1, 1, 1, 1])\n"
+            "f = Family(t, [RelatedPolygon({0: 0}), RelatedPolygon({2: -1})])\n"
+            "try:\n"
+            "    minimal_system(f)\n"
+            "except ClaimViolation as exc:\n"
+            "    print(exc.claim, __debug__)\n"
+        )
+        src = os.path.dirname(os.path.dirname(polypierce.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["pairwise-minimal", "False"]
 
     def test_member_order_irrelevant(self, three_translate_family):
         fam = three_translate_family

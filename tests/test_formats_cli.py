@@ -151,6 +151,28 @@ class TestCli:
         assert main(["verify", instance_file, "--points", good]) == 0
         assert main(["verify", instance_file, "--points", bad]) == 1
 
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("check {missing}", None),
+            ("check {bad}", "[1, 2]"),
+            ("check {bad}", "{bad"),
+            ("verify {inst} --points {bad}", '{"points": [["1/0", "0"]]}'),
+            ("verify {inst} --points {bad}", '{"points": [["0", "0", "0"]]}'),
+            ("verify {inst} --points {missing}", None),
+            ("render {inst} --points {bad} --svg {svg}", '{"points": [["1/0", "0"]]}'),
+        ],
+        ids=["missing-file", "not-an-object", "bad-json", "points-bad-rational",
+             "points-three-coordinates", "points-missing-file", "render-points-bad-rational"],
+    )
+    def test_malformed_input_exits_2(self, instance_file, tmp_path, command, content):
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        names = {"inst": instance_file, "bad": bad, "missing": tmp_path / "missing.json",
+                 "svg": tmp_path / "out.svg"}
+        assert main([tok.format(**names) for tok in command.split()]) == 2
+
     def test_render(self, instance_file, tmp_path):
         svg = str(tmp_path / "out.svg")
         assert main(["render", instance_file, "--svg", svg]) == 0

@@ -15,6 +15,7 @@ from polypierce import (
     line_intersect,
     triple_plus_empty,
 )
+from polypierce.geometry import _foot_of_perpendicular
 
 X_GE = lambda c: Halfplane(Direction(-1, 0), -F(c))   # x >= c
 X_LE = lambda c: Halfplane(Direction(1, 0), F(c))     # x <= c
@@ -181,3 +182,18 @@ class TestContains:
 
     def test_vertex(self):
         assert contains(UNIT_TRIANGLE, Point(0, 0))
+
+    def test_plus_contains_matches_value(self):
+        # plus_contains decides in integers; value() is the Fraction reference.
+        rng = random.Random(7)
+
+        def rat():
+            return F(rng.randint(-60, 60), rng.randint(1, 12))
+
+        on_boundary = 0
+        for _ in range(4000):
+            h = Halfplane(Direction(rng.randint(-5, 5), rng.choice([-3, -1, 1, 2])), rat())
+            for p in (Point(rat(), rat()), _foot_of_perpendicular(h)):
+                on_boundary += h.value(p) == 0
+                assert h.plus_contains(p) == (h.value(p) <= 0)
+        assert on_boundary >= 4000

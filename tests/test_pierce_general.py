@@ -14,31 +14,30 @@ from polypierce import (
     verify_piercing,
 )
 from polypierce.pierce_general import partition_by_midpoints, restricted_hull_contains
-from polypierce.triangles import TriangleType
 from conftest import translate_of
 
 
 class TestRestrictedHull:
     def test_full_triangle_equals_member(self, three_translate_family):
         fam = three_translate_family
-        t = TriangleType((0, 1, 2))
+        t = (0, 1, 2)
         assert restricted_hull_contains(fam, fam.members[0], t, Point(F(1, 2), F(1, 2)))
         assert not restricted_hull_contains(fam, fam.members[0], t, Point(1, 1))
 
     def test_single_constraint_member(self, unit_triangle):
         fam = Family(unit_triangle, [RelatedPolygon({2: 0})])  # y >= 0 only
-        t = TriangleType((0, 1, 2))
+        t = (0, 1, 2)
         assert restricted_hull_contains(fam, fam.members[0], t, Point(100, 5))
 
     def test_vacuous_when_member_uses_no_dirs(self, unit_triangle):
         fam = Family(unit_triangle, [RelatedPolygon({0: 1})])
-        t = TriangleType((1, 2, 3))  # indices the member does not use
+        t = (1, 2, 3)  # indices the member does not use
         assert restricted_hull_contains(fam, fam.members[0], t, Point(999, 999))
 
     def test_shifted_member_derived_points(self, three_translate_family):
         # member translated by (3/5, 0): x >= 3/5, y >= 0, x+y <= 8/5
         fam = three_translate_family
-        t = TriangleType((0, 1, 2))
+        t = (0, 1, 2)
         assert restricted_hull_contains(fam, fam.members[1], t, Point(F(3, 5), F(1, 2)))
         assert not restricted_hull_contains(fam, fam.members[1], t, Point(F(1, 2), F(3, 5)))
 

@@ -14,14 +14,8 @@ from polypierce import (
     minimal_system,
     midpoint_structure,
 )
-from polypierce.triangles import TriangleType, empty_types
+from polypierce.triangles import empty_types
 from conftest import translate_of
-
-
-def test_triangle_type_requires_sorted_triple():
-    TriangleType((0, 1, 2))
-    with pytest.raises(ValueError):
-        TriangleType((2, 1, 0))
 
 
 class TestEnumerate:
@@ -63,7 +57,6 @@ class TestEnumerate:
                 1: Halfplane(Direction(-1, 0), -1),
                 2: Halfplane(Direction(0, 1), 1),
             },
-            witness={0: 0, 1: 1, 2: 2},
         )
         with pytest.raises(DegenerateTriple):
             enumerate_empty_triangles(ms)
