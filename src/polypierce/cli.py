@@ -49,17 +49,15 @@ def _write_cex(exc: ClaimViolation, anchor: str) -> str:
     return path
 
 
+def _gen_config(args, seed: int) -> GenConfig:
+    return GenConfig(seed=seed, n=args.n, members=args.members,
+                     spread=Fraction(args.spread), class_mode=getattr(args, "class"),
+                     repair=args.repair)
+
+
 def cmd_generate(args) -> int:
-    cfg = GenConfig(
-        seed=args.seed,
-        n=args.n,
-        members=args.members,
-        spread=Fraction(args.spread),
-        class_mode=getattr(args, "class"),
-        repair=args.repair,
-    )
     try:
-        fam = generate(cfg)
+        fam = generate(_gen_config(args, args.seed))
     except GenerationExhausted as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -143,6 +141,9 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     fam = load_family(args.file)
     points = load_points(args.points) if args.points else []
+    if pairwise_check(fam):
+        print("family is not pairwise intersecting", file=sys.stderr)
+        return EXIT_INVALID
     svg = render_svg(fam, points)
     with open(args.svg, "w") as fh:
         fh.write(svg)
@@ -163,13 +164,8 @@ def cmd_bench(args) -> int:
                      "oracle_opt", "verified"])
     rc = EXIT_OK
     for seed in seeds:
-        cfg = GenConfig(
-            seed=seed, n=args.n, members=args.members,
-            spread=Fraction(args.spread), class_mode=getattr(args, "class"),
-            repair=args.repair,
-        )
         try:
-            fam = generate(cfg)
+            fam = generate(_gen_config(args, seed))
         except GenerationExhausted:
             writer.writerow([seed, "-", args.n, args.members, "", "", "", "", "gen_failed"])
             continue
@@ -179,6 +175,10 @@ def cmd_bench(args) -> int:
         for algo in algos:
             try:
                 result = _pierce(fam, algo)
+            except NotSpecialClass:
+                writer.writerow([seed, algo, args.n, args.members, "", "", "",
+                                 opt, "not_special"])
+                continue
             except ClaimViolation as exc:
                 _write_cex(exc, f"bench-seed{seed}-{algo}")
                 writer.writerow([seed, algo, args.n, args.members, "", "", "",

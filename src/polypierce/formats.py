@@ -77,12 +77,6 @@ def family_from_dict(data: dict) -> Family:
     return Family(template, members)
 
 
-def save_family(f: Family, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(family_to_dict(f), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_json_object(path: str) -> dict:
     """The JSON object stored at `path`; InvalidInstance when the file cannot
     be read, is not JSON, or holds something other than an object."""

@@ -20,8 +20,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import EmptySystem
 
-Rat = Fraction
-
 
 def _frac(v) -> Fraction:
     if isinstance(v, Fraction):
@@ -127,9 +125,6 @@ class Halfplane:
     def on_boundary(self, p: Point) -> bool:
         return self.value(p) == 0
 
-    def translate(self, v: Point) -> "Halfplane":
-        return Halfplane(self.normal, self.offset + self.normal.dot(v))
-
     def __repr__(self):
         return f"Halfplane({self.normal!r}, {self.offset})"
 
@@ -183,38 +178,19 @@ def _solve(system: Sequence[Halfplane]) -> Optional[Point]:
     """
     if not system:
         return Point(0, 0)
-
-    all_parallel = True
-    for i in range(len(system)):
-        for j in range(i + 1, len(system)):
-            if cross(system[i].normal, system[j].normal) != 0:
-                all_parallel = False
-                break
-        if not all_parallel:
-            break
-
-    if all_parallel:
-        # One-dimensional problem along t = d . p.
-        d = system[0].normal
-        hi = None  # (bound, input index)
-        lo = None
-        for idx, h in enumerate(system):
-            if h.normal == d:
-                if hi is None or h.offset < hi[0]:
-                    hi = (h.offset, idx)
-            else:  # h.normal == -d by primitivity
-                bound = -h.offset
-                if lo is None or bound > lo[0]:
-                    lo = (bound, idx)
-        if lo is not None and hi is not None and lo[0] > hi[0]:
+    d = system[0].normal
+    if all(cross(d, h.normal) == 0 for h in system):
+        # One-dimensional problem along t = d . p: the tightest halfplane
+        # with normal d bounds t above (there is one, system[0]), the
+        # tightest with normal -d bounds it below; ties go to the first index.
+        hi = min((h.offset, i) for i, h in enumerate(system) if h.normal == d)
+        lo = min(((h.offset, i) for i, h in enumerate(system) if h.normal != d),
+                 default=None)
+        if lo is None:
+            return _foot_of_perpendicular(system[hi[1]])
+        if -lo[0] > hi[0]:
             return None
-        if lo is not None and hi is not None:
-            idx = min(lo[1], hi[1])
-        elif hi is not None:
-            idx = hi[1]
-        else:
-            idx = lo[1]
-        return _foot_of_perpendicular(system[idx])
+        return _foot_of_perpendicular(system[min(lo[1], hi[1])])
 
     # Some pair of normals is independent: a nonempty region has a vertex,
     # and every vertex is the meet of two boundary lines.

@@ -2,16 +2,18 @@
 
 A set of members is 1-pierceable iff their joint halfplane system is
 feasible, so the minimum piercing number is a minimum cover of the member
-set by feasible subsets.  Subset feasibility is decided exactly; in the
-plane it reduces to all sub-triples being feasible (Helly), which keeps the
-2^m sweep cheap.  The cover is computed by dynamic programming over subset
-masks and pruned to a partition.
+set by feasible subsets.  Subset feasibility is decided exactly: a mask of
+at most 3 members asks the kernel about its joint system, and by Helly's
+theorem in the plane a larger mask is feasible iff every mask that drops one
+of its members is.  Masks are swept in increasing order, so those sub-masks
+are already decided, and the kernel sees only the subsets of size <= 3.  The
+cover is computed by dynamic programming over subset masks and pruned to a
+partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import AuditFailure, TooLarge
 from .family import Family
@@ -22,7 +24,6 @@ from .geometry import Point, canonical_witness, feasible
 class VerificationReport:
     ok: bool
     unpierced: list[int]
-    per_member_hits: dict[int, list[int]]
 
 
 @dataclass
@@ -33,14 +34,9 @@ class OracleResult:
 
 
 def verify_piercing(f: Family, points: list[Point]) -> VerificationReport:
-    unpierced = []
-    hits: dict[int, list[int]] = {}
-    for i, member in enumerate(f.members):
-        hits[i] = [k for k, p in enumerate(points) if member.contains(f.template, p)]
-        if not hits[i]:
-            unpierced.append(i)
-    return VerificationReport(ok=not unpierced, unpierced=unpierced,
-                              per_member_hits=hits)
+    unpierced = [i for i, member in enumerate(f.members)
+                 if not any(member.contains(f.template, p) for p in points)]
+    return VerificationReport(ok=not unpierced, unpierced=unpierced)
 
 
 def _joint_system(f: Family, indices) -> list:
@@ -53,26 +49,14 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
     if m > member_limit:
         raise TooLarge(f"{m} members exceeds oracle limit {member_limit}")
 
-    # Feasibility of every subset of size <= 3; Helly lifts it to all masks.
-    small_ok: dict[tuple[int, ...], bool] = {}
-    for size in (1, 2, 3):
-        for combo in combinations(range(m), size):
-            small_ok[combo] = feasible(_joint_system(f, combo)) is not None
-
-    def mask_feasible(mask: int) -> bool:
-        bits = [i for i in range(m) if mask >> i & 1]
-        for size in (1, 2, 3):
-            if len(bits) < size:
-                break
-            for combo in combinations(bits, size):
-                if not small_ok[combo]:
-                    return False
-        return True
-
     full = (1 << m) - 1
     feas = [False] * (full + 1)
     for mask in range(1, full + 1):
-        feas[mask] = mask_feasible(mask)
+        bits = [i for i in range(m) if mask >> i & 1]
+        if len(bits) <= 3:
+            feas[mask] = feasible(_joint_system(f, bits)) is not None
+        else:
+            feas[mask] = all(feas[mask ^ (1 << i)] for i in bits)
 
     INF = m + 1
     dp = [INF] * (full + 1)

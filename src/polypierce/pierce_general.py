@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import ClaimViolation
 from .family import Family, RelatedPolygon, minimal_system
 from .geometry import Point, canonical_witness, contains
-from .triangles import EmptyTriangle, empty_types, enumerate_empty_triangles
+from .triangles import EmptyTriangle, enumerate_empty_triangles
 
 
 @dataclass
@@ -105,6 +105,8 @@ def partition_by_midpoints(
 
 
 def _recurse(f: Family, member_ids: list[int], parent_types, points, assignment):
+    """The trace node of `member_ids` and the empty triples of its minimal
+    system, after piercing its members into `points` and `assignment`."""
     node = TraceNode(members=list(member_ids))
     sub = f.subfamily(member_ids)
     ms = minimal_system(sub)
@@ -123,7 +125,7 @@ def _recurse(f: Family, member_ids: list[int], parent_types, points, assignment)
         for i in member_ids:
             assignment[i] = idx
         node.leaf_witness = w
-        return node
+        return node, types_here
     chosen = triangles[0]  # lexicographically smallest direction triple
     node.chosen_type = chosen.dirs
     buckets = partition_by_midpoints(f, chosen, member_ids)
@@ -131,17 +133,16 @@ def _recurse(f: Family, member_ids: list[int], parent_types, points, assignment)
     for b in buckets:
         if not b:
             continue
-        node.children.append(_recurse(f, b, types_here, points, assignment))
-    return node
+        node.children.append(_recurse(f, b, types_here, points, assignment)[0])
+    return node, types_here
 
 
 def pierce_general(f: Family) -> PiercingResult:
     """Pierce a pairwise-intersecting related family; at most 3^N0 points."""
-    all_ids = list(range(len(f.members)))
-    n0 = len(empty_types(minimal_system(f)))
     points: list[Point] = []
     assignment: dict[int, int] = {}
-    trace = _recurse(f, all_ids, None, points, assignment)
+    trace, root_types = _recurse(f, list(range(len(f.members))), None, points, assignment)
+    n0 = len(root_types)
     bound = 3 ** n0
     _check_result(f, points, assignment, bound, f"3^{n0}")
     return PiercingResult(

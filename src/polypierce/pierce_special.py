@@ -187,23 +187,15 @@ def pierce_special(f: Family) -> PiercingResult:
     assignment: dict[int, int] = {}
     trace = TraceNode(members=list(range(len(f.members))))
     remaining = list(range(len(f.members)))
-    n0: Optional[int] = None
     handled: set[int] = set()
-    prev_count: Optional[int] = None
+    # Each round's minimal system and empty triples are derived once: here for
+    # the whole family, then at the end of a round for the members it left.
+    sub = f
+    ms = minimal_system(sub)
+    types = empty_types(ms)
+    n0 = len(types)
 
     while remaining:
-        sub = f.subfamily(remaining)
-        ms = minimal_system(sub)
-        types = empty_types(ms)
-        if n0 is None:
-            n0 = len(types)
-        if prev_count is not None and len(types) >= prev_count:
-            raise ClaimViolation(
-                "triangle-count-progress",
-                f"empty-triple count did not decrease ({prev_count} -> {len(types)})",
-                family=sub,
-            )
-        prev_count = len(types)
         candidates = _check_triples(sub, sf, types)
         node = TraceNode(members=list(remaining))
         trace.children.append(node)
@@ -274,20 +266,30 @@ def pierce_special(f: Family) -> PiercingResult:
 
         idxs = _point_indices(points, new_points)
         remaining = _assign_and_remove(f, remaining, points, idxs, assignment)
-        if remaining:
-            ms2 = minimal_system(f.subfamily(remaining))
-            if all(j in ms2.entries for j in dirs) and dirs in empty_types(ms2):
-                raise ClaimViolation(
-                    "triangle-elimination",
-                    f"triple {dirs} is still empty after piercing its midpoints",
-                    family=f.subfamily(remaining),
-                )
+        if not remaining:
+            break
+        sub = f.subfamily(remaining)
+        ms = minimal_system(sub)
+        next_types = empty_types(ms)
+        if dirs in next_types:
+            raise ClaimViolation(
+                "triangle-elimination",
+                f"triple {dirs} is still empty after piercing its midpoints",
+                family=sub,
+            )
+        if len(next_types) >= len(types):
+            raise ClaimViolation(
+                "triangle-count-progress",
+                f"empty-triple count did not decrease ({len(types)} -> {len(next_types)})",
+                family=sub,
+            )
+        types = next_types
 
     _check_result(f, points, assignment, bound, f"4(n-2)={bound}")
     return PiercingResult(
         points=points,
         assignment=assignment,
         trace=trace,
-        initial_type_count=n0 or 0,
+        initial_type_count=n0,
         bound=bound,
     )

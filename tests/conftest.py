@@ -1,8 +1,14 @@
+import importlib
+import os
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from polypierce import Direction, Family, Point, RelatedPolygon, Template
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 # One line per acceptance criterion, echoed after the run summary so the
 # pass/fail report is visible without -s.
@@ -24,6 +30,32 @@ def translate_of(template: Template, v: Point) -> RelatedPolygon:
             for j in range(template.n)
         }
     )
+
+
+def planted_family(seed: int, class_mode: str, n: int, members: int) -> Family:
+    """The benchmark's planted family (perfbench/planted.py), whose piercing
+    recursion does real work: most have empty triangles."""
+    if PERFBENCH not in sys.path:
+        sys.path.append(PERFBENCH)
+    from planted import planted_family as build
+
+    return build(seed, seed, class_mode, n, members)
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """Rebind `name` in the module `polypierce.<module>` to a wrapper that
+    records one entry per call.  (The package namespace binds some module
+    names to functions, so the module is looked up by its full name.)"""
+    module = importlib.import_module(f"polypierce.{module}")
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture

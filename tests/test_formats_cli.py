@@ -13,7 +13,7 @@ from polypierce.formats import (
     load_family,
     points_from_list,
     points_to_list,
-    save_family,
+    save_json,
 )
 from conftest import translate_of
 
@@ -34,7 +34,7 @@ class TestFormats:
 
     def test_file_round_trip(self, three_translate_family, tmp_path):
         path = str(tmp_path / "fam.json")
-        save_family(three_translate_family, path)
+        save_json(family_to_dict(three_translate_family), path)
         back = load_family(path)
         assert family_to_dict(back) == family_to_dict(three_translate_family)
 
@@ -80,7 +80,7 @@ class TestFormats:
 @pytest.fixture
 def instance_file(three_translate_family, tmp_path):
     path = str(tmp_path / "inst.json")
-    save_family(three_translate_family, path)
+    save_json(family_to_dict(three_translate_family), path)
     return path
 
 
@@ -92,7 +92,7 @@ class TestCli:
         assert rc == 0
         assert main(["check", out]) == 0
 
-    def test_check_reports_disjoint_pair(self, unit_triangle, tmp_path):
+    def test_check_reports_disjoint_pair(self, unit_triangle, tmp_path, capsys):
         fam = Family(
             unit_triangle,
             [
@@ -101,8 +101,14 @@ class TestCli:
             ],
         )
         path = str(tmp_path / "bad.json")
-        save_family(fam, path)
+        save_json(family_to_dict(fam), path)
         assert main(["check", path]) == 2
+        # render draws only pairwise-intersecting families, and says so.
+        main(["pierce", path, "--algo", "t1"])
+        pierce_err = capsys.readouterr().err
+        assert main(["render", path, "--svg", str(tmp_path / "bad.svg")]) == 2
+        assert capsys.readouterr().err == pierce_err == "family is not pairwise intersecting\n"
+        assert not (tmp_path / "bad.svg").exists()
 
     def test_check_rejects_malformed_json(self, tmp_path):
         path = str(tmp_path / "junk.json")
@@ -124,7 +130,7 @@ class TestCli:
 
     def test_pierce_t2_special(self, special_three_translate, tmp_path):
         path = str(tmp_path / "sp.json")
-        save_family(special_three_translate, path)
+        save_json(family_to_dict(special_three_translate), path)
         out = str(tmp_path / "res.json")
         assert main(["pierce", path, "--algo", "t2", "--out", out]) == 0
         with open(out) as fh:
@@ -186,10 +192,20 @@ class TestCli:
             three_translate_family, pts
         )
 
-    def test_bench_csv(self, capsys):
-        rc = main(["bench", "--seeds", "1..3", "--n", "4", "--members", "4",
-                   "--spread", "2", "--class", "theorem2", "--algo", "t2"])
+    @pytest.mark.parametrize(
+        "flags, rows, verified",
+        [
+            (["--spread", "2", "--class", "theorem2", "--algo", "t2"], 3, {"True"}),
+            # The defaults (general class, both algorithms): t2 rejects the
+            # template, which makes a not_special row, not a crash.
+            ([], 6, {"True", "not_special"}),
+        ],
+        ids=["theorem2-t2", "defaults"],
+    )
+    def test_bench_csv(self, capsys, flags, rows, verified):
+        rc = main(["bench", "--seeds", "1..3", "--n", "4", "--members", "4"] + flags)
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split(",")[:3] == ["seed", "algo", "n"]
-        assert len(lines) == 4
+        assert len(lines) == rows + 1
+        assert {line.split(",")[-1] for line in lines[1:]} == verified

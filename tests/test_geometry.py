@@ -164,6 +164,17 @@ class TestCanonicalWitness:
         a, b = X_LE(2), X_GE(-3)
         assert canonical_witness([a, b]) == Point(2, 0)
         assert canonical_witness([b, a]) == Point(-3, 0)
+        # Repeated directions: the tightest line of each side, at its first
+        # index, and of the two the one with the lower index.
+        assert canonical_witness([X_LE(5), X_GE(-1), X_LE(2), X_LE(2)]) == Point(-1, 0)
+        assert canonical_witness([X_LE(5), X_LE(2), X_GE(-1), X_LE(2)]) == Point(2, 0)
+        assert canonical_witness([X_GE(-1), X_LE(2), X_GE(-1), X_LE(2)]) == Point(-1, 0)
+        assert canonical_witness([X_LE(2), X_GE(-3), X_GE(-1), X_GE(-1)]) == Point(2, 0)
+        # Bounds on one side only: the tightest of them, whichever side.
+        assert canonical_witness([X_LE(5), X_LE(2), X_LE(2)]) == Point(2, 0)
+        assert canonical_witness([X_GE(-3), X_GE(1), X_GE(1)]) == Point(1, 0)
+        assert canonical_witness([SUM_LE(3), SUM_LE(1)]) == Point(F(1, 2), F(1, 2))
+        assert feasible([X_GE(-1), X_LE(5), X_LE(-2), X_GE(-1)]) is None
 
     def test_degenerate_strip_is_line(self):
         assert canonical_witness([X_LE(2), X_GE(2)]) == Point(2, 0)

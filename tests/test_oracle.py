@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -16,7 +17,7 @@ from polypierce import (
     pierce_general,
     verify_piercing,
 )
-from conftest import translate_of
+from conftest import count_calls, planted_family, translate_of
 
 
 class TestVerifyPiercing:
@@ -24,7 +25,6 @@ class TestVerifyPiercing:
         pts = [Point(0, 0), Point(F(3, 5), 0), Point(0, F(3, 5))]
         report = verify_piercing(three_translate_family, pts)
         assert report.ok and report.unpierced == []
-        assert all(report.per_member_hits[i] for i in range(3))
 
     def test_missing_member_reported(self, three_translate_family):
         report = verify_piercing(three_translate_family, [Point(0, 0)])
@@ -108,6 +108,40 @@ class TestOptimalPiercing:
         res = optimal_piercing(fam)
         assert verify_piercing(fam, res.witness_points).ok
         assert len(res.witness_points) == res.optimum <= len(fam.members)
+
+
+def _min_partition(m: int, feasible_set) -> int:
+    """Fewest blocks in a partition of range(m) whose every block passes
+    `feasible_set`, by trying every set partition."""
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for part in partitions(rest):
+            yield [[first]] + part
+            for k in range(len(part)):
+                yield part[:k] + [[first] + part[k]] + part[k + 1:]
+
+    return min(len(p) for p in partitions(list(range(m)))
+               if all(feasible_set(block) for block in p))
+
+
+@pytest.mark.parametrize("class_mode,n", [("general", 3), ("general", 4), ("theorem2", 4)])
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_optimum_matches_brute_force_cover(seed, class_mode, n, monkeypatch):
+    # Feasibility is hereditary, so a minimum cover by 1-pierceable subsets
+    # is a minimum partition.  Here every block is decided on its whole
+    # joint system, with no Helly step.
+    fam = planted_family(seed, class_mode, n, 4 + seed % 3)
+    m = len(fam.members)
+    direct = lambda block: feasible(
+        [h for i in block for h in fam.member_halfplanes(i)]) is not None
+    expected = _min_partition(m, direct)
+    calls = count_calls(monkeypatch, "oracle", "feasible")
+    assert optimal_piercing(fam).optimum == expected
+    # The oracle asks the kernel once per subset of at most 3 members.
+    assert len(calls) == sum(comb(m, k) for k in (1, 2, 3))
 
 
 class TestBoundAudit:

@@ -14,7 +14,7 @@ from polypierce import (
     verify_piercing,
 )
 from polypierce.pierce_general import partition_by_midpoints, restricted_hull_contains
-from conftest import translate_of
+from conftest import count_calls, planted_family, translate_of
 
 
 class TestRestrictedHull:
@@ -121,3 +121,16 @@ class TestPierceGeneral:
         # root chose the only type; children must all be leaves
         assert res.trace.chosen_type == (0, 1, 2)
         assert all(c.leaf_witness is not None for c in res.trace.children)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_one_minimal_system_per_trace_node(self, seed, monkeypatch):
+        # Each node derives its members' minimal system once, and N0 is read
+        # from the root node's empty triples.
+        fam = planted_family(seed, "theorem2", 6, 12)
+        calls = count_calls(monkeypatch, "pierce_general", "minimal_system")
+        res = pierce_general(fam)
+        nodes = [res.trace]
+        for node in nodes:
+            nodes.extend(node.children)
+        assert res.initial_type_count >= 1 and len(nodes) > 1
+        assert len(calls) == len(nodes)

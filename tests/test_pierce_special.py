@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from polypierce import (
+    ClaimViolation,
     Direction,
     Family,
     GenConfig,
@@ -15,7 +17,7 @@ from polypierce import (
     verify_piercing,
 )
 from polypierce.pierce_special import edge_slope, teo_check
-from conftest import translate_of
+from conftest import count_calls, planted_family, translate_of
 
 
 class TestClassify:
@@ -110,3 +112,37 @@ class TestPierceSpecialLarger:
         res = pierce_special(fam)
         used = set(res.assignment.values())
         assert used == set(range(len(res.points)))
+
+    # Planted theorem2 n=6 families on which the loop takes two rounds.
+    @pytest.mark.parametrize("seed", [1, 6, 9, 11, 12, 13, 14, 15])
+    def test_one_minimal_system_per_round(self, seed, monkeypatch):
+        # A round's minimal system feeds its elimination and progress checks
+        # and the next round, so it is derived once.
+        fam = planted_family(seed, "theorem2", 6, 12)
+        calls = count_calls(monkeypatch, "pierce_special", "minimal_system")
+        res = pierce_special(fam)
+        assert len(res.trace.children) >= 2
+        assert len(calls) == len(res.trace.children)
+
+    @pytest.mark.parametrize("claim", ["triangle-elimination", "triangle-count-progress"])
+    def test_round_checks_name_the_unpierced_rest(self, claim, monkeypatch):
+        # Make the empty triples after round 1 still hold round 1's triple
+        # (elimination fails), or only grow (progress fails); either claim
+        # carries the members round 1 left unpierced.
+        fam = planted_family(1, "theorem2", 6, 12)
+        first, second = pierce_special(fam).trace.children
+        module = sys.modules["polypierce.pierce_special"]
+        original = module.empty_types
+        extra = {first.chosen_type} if claim == "triangle-elimination" else {
+            (90 + k, 91 + k, 92 + k) for k in range(0, 15, 3)}
+        calls = []
+
+        def empty_types(ms):
+            calls.append(ms)
+            return original(ms) | (extra if len(calls) > 1 else set())
+
+        monkeypatch.setattr(module, "empty_types", empty_types)
+        with pytest.raises(ClaimViolation) as info:
+            pierce_special(fam)
+        assert info.value.claim == claim
+        assert info.value.family == fam.subfamily(second.members)
