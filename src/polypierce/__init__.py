@@ -21,7 +21,7 @@ from .family import (
     pairwise_check,
     validate_template,
 )
-from .generate import GenConfig, generate, random_family, random_template
+from .generate import GenConfig, generate, random_template
 from .geometry import (
     Direction,
     Halfplane,
@@ -33,9 +33,9 @@ from .geometry import (
     triple_plus_empty,
 )
 from .oracle import bound_audit, optimal_piercing, verify_piercing
-from .pierce_general import PiercingResult, pierce_general
+from .pierce_general import pierce_general
 from .pierce_special import classify_special, pierce_special
-from .triangles import EmptyTriangle, enumerate_empty_triangles, midpoint_structure
+from .triangles import enumerate_empty_triangles
 
 __version__ = "0.1.0"
 
@@ -45,12 +45,10 @@ __all__ = [
     "Family", "MinimalSystem", "RelatedPolygon", "Template",
     "family_intersection_witness", "minimal_system", "pairwise_check",
     "validate_template",
-    "GenConfig", "generate", "random_family", "random_template",
+    "GenConfig", "generate", "random_template",
     "Direction", "Halfplane", "Point", "canonical_witness", "contains",
     "feasible", "line_intersect", "triple_plus_empty",
     "bound_audit", "optimal_piercing", "verify_piercing",
-    "PiercingResult", "pierce_general",
-    "classify_special", "pierce_special",
-    "EmptyTriangle", "enumerate_empty_triangles",
-    "midpoint_structure",
+    "pierce_general", "classify_special", "pierce_special",
+    "enumerate_empty_triangles",
 ]

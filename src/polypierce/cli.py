@@ -50,9 +50,12 @@ def _write_cex(exc: ClaimViolation, anchor: str) -> str:
 
 
 def _gen_config(args, seed: int) -> GenConfig:
-    return GenConfig(seed=seed, n=args.n, members=args.members,
-                     spread=Fraction(args.spread), class_mode=getattr(args, "class"),
-                     repair=args.repair)
+    try:
+        return GenConfig(seed=seed, n=args.n, members=args.members,
+                         spread=Fraction(args.spread),
+                         class_mode=getattr(args, "class"), repair=args.repair)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInstance(f"bad generation flags: {exc}") from None
 
 
 def cmd_generate(args) -> int:
@@ -158,14 +161,15 @@ def cmd_bench(args) -> int:
     except ValueError:
         print("bad --seeds range, expected A..B", file=sys.stderr)
         return EXIT_INVALID
+    configs = {seed: _gen_config(args, seed) for seed in seeds}  # bad flags: no rows
     algos = ["t1", "t2"] if args.algo == "both" else [args.algo]
     writer = csv.writer(sys.stdout)
     writer.writerow(["seed", "algo", "n", "members", "N0", "points", "bound",
                      "oracle_opt", "verified"])
     rc = EXIT_OK
-    for seed in seeds:
+    for seed, cfg in configs.items():
         try:
-            fam = generate(_gen_config(args, seed))
+            fam = generate(cfg)
         except GenerationExhausted:
             writer.writerow([seed, "-", args.n, args.members, "", "", "", "", "gen_failed"])
             continue

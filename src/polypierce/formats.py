@@ -27,6 +27,14 @@ def _rat(s) -> Fraction:
         raise InvalidInstance(f"bad rational {s!r}: {exc}") from None
 
 
+def _array(value, what: str, length: Optional[int] = None) -> list:
+    """`value` if it is a JSON array (of `length` entries, if given)."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        size = "" if length is None else f" of {length} entries"
+        raise InvalidInstance(f"{what} must be an array{size}, got {value!r}")
+    return value
+
+
 def family_to_dict(f: Family) -> dict:
     return {
         "version": FORMAT_VERSION,
@@ -46,8 +54,10 @@ def family_from_dict(data: dict) -> Family:
         if data.get("version") != FORMAT_VERSION:
             raise InvalidInstance(f"unsupported version {data.get('version')!r}")
         tmpl = data["template"]
-        normals = [Direction(int(a), int(b)) for a, b in tmpl["normals"]]
-        offsets = [_rat(c) for c in tmpl["reference_offsets"]]
+        pairs = [_array(d, "normal", 2) for d in _array(tmpl["normals"], "normals")]
+        normals = [Direction(int(a), int(b)) for a, b in pairs]
+        offsets = [_rat(c) for c in
+                   _array(tmpl["reference_offsets"], "reference_offsets")]
         template = Template(normals, offsets)
         members = []
         for m in data["members"]:
@@ -62,7 +72,7 @@ def family_from_dict(data: dict) -> Family:
                 if j not in parsed or c < parsed[j]:
                     parsed[j] = c
             members.append(RelatedPolygon(parsed))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidInstance):
             raise
         raise InvalidInstance(f"malformed instance: {exc}") from None
@@ -105,7 +115,8 @@ def points_to_list(points) -> list[list[str]]:
 
 def points_from_list(data) -> list[Point]:
     try:
-        return [Point(_rat(x), _rat(y)) for x, y in data]
+        pairs = [_array(p, "point", 2) for p in _array(data, "points")]
+        return [Point(_rat(x), _rat(y)) for x, y in pairs]
     except InvalidInstance:
         raise
     except (TypeError, ValueError) as exc:

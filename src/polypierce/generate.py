@@ -150,8 +150,7 @@ def _draw_member(rng: random.Random, t: Template, cfg: GenConfig) -> RelatedPoly
         if droppable and rng.random() < 1 / 3:
             k = rng.randint(1, min(len(droppable), t.n - 1))
             for j in rng.sample(sorted(droppable), k):
-                if len(offsets) > 1:
-                    del offsets[j]
+                del offsets[j]
         member = RelatedPolygon(offsets)
         if member_nonempty(t, member):
             return member

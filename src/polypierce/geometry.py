@@ -119,9 +119,6 @@ class Halfplane:
         lhs = n.a * x.numerator * y.denominator + n.b * y.numerator * x.denominator
         return lhs * c.denominator <= c.numerator * x.denominator * y.denominator
 
-    def minus_contains(self, p: Point) -> bool:
-        return self.value(p) >= 0
-
     def on_boundary(self, p: Point) -> bool:
         return self.value(p) == 0
 

@@ -85,15 +85,7 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
                         witness_groups=groups)
 
 
-@dataclass
-class AuditRecord:
-    points: int
-    bound: int
-    verified: bool
-    oracle_optimum: int | None
-
-
-def bound_audit(f: Family, result, oracle: OracleResult | None = None) -> AuditRecord:
+def bound_audit(f: Family, result, oracle: OracleResult | None = None) -> None:
     """Hard check of a piercing result: bound conformance, soundness, and
     oracle dominance when an oracle result is supplied."""
     k = len(result.points)
@@ -102,8 +94,5 @@ def bound_audit(f: Family, result, oracle: OracleResult | None = None) -> AuditR
     report = verify_piercing(f, result.points)
     if not report.ok:
         raise AuditFailure(f"members {report.unpierced} are unpierced")
-    opt = oracle.optimum if oracle is not None else None
-    if opt is not None and opt > k:
-        raise AuditFailure(f"oracle optimum {opt} exceeds output size {k}")
-    return AuditRecord(points=k, bound=result.bound, verified=True,
-                       oracle_optimum=opt)
+    if oracle is not None and oracle.optimum > k:
+        raise AuditFailure(f"oracle optimum {oracle.optimum} exceeds output size {k}")

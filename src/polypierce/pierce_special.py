@@ -4,8 +4,9 @@ vertical right edge, all remaining edges of positive slope.
 The loop repeatedly targets the empty triangle built on the smallest-slope
 direction, emits its three edge midpoints (plus one auxiliary vertex in the
 harder case), removes every member pierced so far, and re-derives the minimal
-system.  n = 3 is a proved shortcut: members coincide with their restricted
-hulls, so the three midpoints pierce outright.
+system.  For n = 3 there is one slope direction, hence one direction triple
+and no Case 2: members coincide with their restricted hulls, so the loop's
+first round pierces every member and the bound is 3.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .geometry import (
     line_intersect,
 )
 from .pierce_general import PiercingResult, TraceNode, _check_result, _point_indices
-from .triangles import EmptyTriangle, _build_triangle, empty_types
+from .triangles import _build_triangle, empty_types
 
 _DOWN = Direction(0, -1)
 _RIGHT = Direction(1, 0)
@@ -94,12 +95,6 @@ def teo_check(
     return hits <= 1
 
 
-def _named_midpoints(e: EmptyTriangle, sf: SpecialForm, s: int):
-    """Midpoints keyed by the side they lie on: (M_h, M_v, M_s)."""
-    by_dir = dict(zip(e.dirs, e.midpoints))
-    return by_dir[sf.h_index], by_dir[sf.v_index], by_dir[s]
-
-
 def _assign_and_remove(f, remaining, points, new_idxs, assignment):
     still = []
     for i in remaining:
@@ -113,10 +108,6 @@ def _assign_and_remove(f, remaining, points, new_idxs, assignment):
         else:
             assignment[i] = hit
     return still
-
-
-def _slope_triple(sf: SpecialForm, s: int) -> tuple[int, int, int]:
-    return tuple(sorted((sf.h_index, sf.v_index, s)))
 
 
 def _check_triples(f: Family, sf: SpecialForm, types) -> list[int]:
@@ -137,52 +128,15 @@ def _check_triples(f: Family, sf: SpecialForm, types) -> list[int]:
     return sorted(hit, key=lambda j: slope_of[j])
 
 
-def _pierce_n3(f: Family, sf: SpecialForm) -> PiercingResult:
-    ms = minimal_system(f)
-    types = empty_types(ms)
-    points: list[Point] = []
-    assignment: dict[int, int] = {}
-    trace = TraceNode(members=list(range(len(f.members))))
-    if types:
-        s = sf.slope_indices[0][0]
-        dirs = _slope_triple(sf, s)
-        if types != {dirs}:
-            raise ClaimViolation(
-                "hv-triple-shape", f"unexpected empty triples {sorted(types)}", family=f
-            )
-        e = _build_triangle(dirs, tuple(ms.entries[j] for j in dirs))
-        idxs = _point_indices(points, _named_midpoints(e, sf, s))
-        trace.chosen_type = dirs
-    else:
-        idxs = _point_indices(points, [canonical_witness(ms.halfplanes())])
-        trace.leaf_witness = points[0]
-    unpierced = _assign_and_remove(f, range(len(f.members)), points, idxs, assignment)
-    if unpierced:
-        raise ClaimViolation(
-            "n3-midpoint-piercing",
-            f"member {unpierced[0]} contains none of the emitted points",
-            family=f,
-        )
-    return PiercingResult(
-        points=points,
-        assignment=assignment,
-        trace=trace,
-        initial_type_count=len(types),
-        bound=3,
-    )
-
-
 def pierce_special(f: Family) -> PiercingResult:
     """Pierce a pairwise-intersecting family of the special class with at most
     4(n-2) points (3 for n = 3)."""
     sf = classify_special(f.template)
     if sf is None:
         raise NotSpecialClass("template is not horizontal+vertical+positive-slope")
-    if f.template.n == 3:
-        return _pierce_n3(f, sf)
 
     n = f.template.n
-    bound = 4 * (n - 2)
+    bound = 3 if n == 3 else 4 * (n - 2)
     points: list[Point] = []
     assignment: dict[int, int] = {}
     trace = TraceNode(members=list(range(len(f.members))))
@@ -200,74 +154,76 @@ def pierce_special(f: Family) -> PiercingResult:
         node = TraceNode(members=list(remaining))
         trace.children.append(node)
         if not candidates:
-            w = canonical_witness(ms.halfplanes())
-            idxs = _point_indices(points, [w])
-            node.leaf_witness = w
-            remaining = _assign_and_remove(f, remaining, points, idxs, assignment)
-            if remaining:
-                raise ClaimViolation(
-                    "helly-leaf",
-                    "members remained unpierced after the common-point leaf",
-                    family=sub,
-                )
-            break
-
-        s = candidates[0]  # smallest positive slope with an empty triple
-        if s in handled:
-            raise ClaimViolation(
-                "slope-progress",
-                f"slope direction {s} produced an empty triple twice",
-                family=sub,
-            )
-        handled.add(s)
-        dirs = _slope_triple(sf, s)
-        e = _build_triangle(dirs, tuple(ms.entries[j] for j in dirs))
-        m_h, m_v, m_s = _named_midpoints(e, sf, s)
-        node.chosen_type = dirs
-
-        for i in remaining:
-            if not teo_check(f, f.members[i], e.midpoints, dirs):
-                raise ClaimViolation(
-                    "two-edges-outside",
-                    f"member {i} has two boundary lines meeting the medial triangle",
-                    family=sub,
-                )
-
-        others = [
-            j for j, _ in sf.slope_indices if j != s and j in ms.entries
-        ]
-        strict_minus = [j for j in others if ms.entries[j].value(m_s) > 0]
-        if not strict_minus:
-            new_points = [m_h, m_v, m_s]  # Case 1
+            node.leaf_witness = canonical_witness(ms.halfplanes())
+            new_points = [node.leaf_witness]
         else:
-            # Case 2: one auxiliary point X on the smallest-slope line s.  h_s
-            # is the horizontal line through H, where s meets the vertical
-            # line; P_i is the leftmost meet of h_s with a line that has M_s
-            # strictly on its minus side.  X is M_s when P_i lies right of
-            # M_s, else the point of s straight above or below P_i.
-            H = line_intersect(ms.entries[s], ms.entries[sf.v_index])
-            h_s = Halfplane(_DOWN, -H.y)
-            chosen_i, P_i = min(
-                ((j, line_intersect(ms.entries[j], h_s)) for j in strict_minus),
-                key=lambda jp: (jp[1].x, jp[0]),
-            )
-            if P_i.x > m_s.x:
-                X = m_s
-            else:
-                X = line_intersect(Halfplane(_RIGHT, P_i.x), ms.entries[s])
-            if not ms.entries[s].on_boundary(X):
+            s = candidates[0]  # smallest positive slope with an empty triple
+            if s in handled:
                 raise ClaimViolation(
-                    "case2-x-on-line",
-                    f"auxiliary vertex X is off the boundary line of direction {s}",
+                    "slope-progress",
+                    f"slope direction {s} produced an empty triple twice",
                     family=sub,
                 )
-            node.notes["case2"] = {"chosen_i": chosen_i, "X": X}
-            new_points = [m_h, m_v, m_s, X]
+            handled.add(s)
+            dirs = tuple(sorted((sf.h_index, sf.v_index, s)))
+            e = _build_triangle(dirs, tuple(ms.entries[j] for j in dirs))
+            by_dir = dict(zip(dirs, e.midpoints))
+            m_h, m_v, m_s = by_dir[sf.h_index], by_dir[sf.v_index], by_dir[s]
+            node.chosen_type = dirs
+
+            for i in remaining:
+                if not teo_check(f, f.members[i], e.midpoints, dirs):
+                    raise ClaimViolation(
+                        "two-edges-outside",
+                        f"member {i} has two boundary lines meeting the medial triangle",
+                        family=sub,
+                    )
+
+            others = [j for j, _ in sf.slope_indices if j != s and j in ms.entries]
+            strict_minus = [j for j in others if ms.entries[j].value(m_s) > 0]
+            if not strict_minus:
+                new_points = [m_h, m_v, m_s]  # Case 1
+            else:
+                # Case 2: one auxiliary point X on the smallest-slope line s.  h_s
+                # is the horizontal line through H, where s meets the vertical
+                # line; P_i is the leftmost meet of h_s with a line that has M_s
+                # strictly on its minus side.  X is M_s when P_i lies right of
+                # M_s, else the point of s straight above or below P_i.
+                H = line_intersect(ms.entries[s], ms.entries[sf.v_index])
+                h_s = Halfplane(_DOWN, -H.y)
+                chosen_i, P_i = min(
+                    ((j, line_intersect(ms.entries[j], h_s)) for j in strict_minus),
+                    key=lambda jp: (jp[1].x, jp[0]),
+                )
+                if P_i.x > m_s.x:
+                    X = m_s
+                else:
+                    X = line_intersect(Halfplane(_RIGHT, P_i.x), ms.entries[s])
+                if not ms.entries[s].on_boundary(X):
+                    raise ClaimViolation(
+                        "case2-x-on-line",
+                        f"auxiliary vertex X is off the boundary line of direction {s}",
+                        family=sub,
+                    )
+                node.notes["case2"] = {"chosen_i": chosen_i, "X": X}
+                new_points = [m_h, m_v, m_s, X]
 
         idxs = _point_indices(points, new_points)
         remaining = _assign_and_remove(f, remaining, points, idxs, assignment)
+        if remaining and n == 3:
+            raise ClaimViolation(
+                "n3-midpoint-piercing",
+                f"member {remaining[0]} contains none of the emitted points",
+                family=f,
+            )
         if not remaining:
             break
+        if not candidates:
+            raise ClaimViolation(
+                "helly-leaf",
+                "members remained unpierced after the common-point leaf",
+                family=sub,
+            )
         sub = f.subfamily(remaining)
         ms = minimal_system(sub)
         next_types = empty_types(ms)
@@ -285,7 +241,12 @@ def pierce_special(f: Family) -> PiercingResult:
             )
         types = next_types
 
-    _check_result(f, points, assignment, bound, f"4(n-2)={bound}")
+    _check_result(f, points, assignment, bound,
+                  "3 for n = 3" if n == 3 else f"4(n-2)={bound}")
+    if n == 3:
+        # The result format, pinned by the golden files, keeps n = 3 flat:
+        # the trace is the single round's node.
+        (trace,) = trace.children
     return PiercingResult(
         points=points,
         assignment=assignment,

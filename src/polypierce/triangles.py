@@ -1,4 +1,4 @@
-"""Negative (empty) triangles of a minimal system and their midpoint structure.
+"""Negative (empty) triangles of a minimal system and their edge midpoints.
 
 A direction triple is empty when the three minimal plus sides have empty
 common intersection; the minus sides then bound a positive-area triangle.
@@ -13,13 +13,12 @@ from itertools import combinations
 
 from .errors import ClaimViolation, DegenerateTriple
 from .family import MinimalSystem
-from .geometry import Halfplane, Point, line_intersect, midpoint, triple_plus_empty
+from .geometry import Point, line_intersect, midpoint, triple_plus_empty
 
 
 @dataclass(frozen=True)
 class EmptyTriangle:
     dirs: tuple[int, int, int]
-    sides: tuple[Halfplane, Halfplane, Halfplane]
     vertices: tuple[Point, Point, Point]
     midpoints: tuple[Point, Point, Point]
 
@@ -49,8 +48,7 @@ def _build_triangle(dirs, sides) -> EmptyTriangle:
             raise ClaimViolation(
                 "triangle-midpoint", f"midpoint {t} of triple {dirs} is off its side"
             )
-    return EmptyTriangle(dirs=tuple(dirs), sides=tuple(sides), vertices=vertices,
-                         midpoints=midpoints)
+    return EmptyTriangle(dirs=tuple(dirs), vertices=vertices, midpoints=midpoints)
 
 
 def enumerate_empty_triangles(ms: MinimalSystem) -> list[EmptyTriangle]:
@@ -70,23 +68,3 @@ def empty_types(ms: MinimalSystem) -> set[tuple[int, int, int]]:
         for dirs in combinations(ms.dirs(), 3)
         if triple_plus_empty(*(ms.entries[j] for j in dirs))
     }
-
-
-def midpoint_structure(e: EmptyTriangle):
-    """Midpoints plus the medial triangle's sides.
-
-    Medial side t is parallel to side t with the same outward normal and
-    passes through the other two midpoints.
-    """
-    medial = []
-    for t in range(3):
-        other = [e.midpoints[u] for u in range(3) if u != t]
-        n = e.sides[t].normal
-        c = n.dot(other[0])
-        if n.dot(other[1]) != c:
-            raise ClaimViolation(
-                "medial-parallel",
-                f"the midpoints off side {t} of triple {e.dirs} are not on a parallel line",
-            )
-        medial.append(Halfplane(n, c))
-    return e.midpoints, tuple(medial)

@@ -77,6 +77,15 @@ class TestFormats:
         assert back.members[0].offsets[0] == 2
 
 
+def _unit_instance(normal0=(1, 1), offsets=("1", "0", "0"), member=None) -> str:
+    """The unit-triangle instance file's text, with one part replaced."""
+    return json.dumps({
+        "version": 1,
+        "template": {"normals": [normal0, [-1, 0], [0, -1]], "reference_offsets": offsets},
+        "members": [{"offsets": member or {"0": "1", "1": "0", "2": "0"}}],
+    })
+
+
 @pytest.fixture
 def instance_file(three_translate_family, tmp_path):
     path = str(tmp_path / "inst.json")
@@ -167,17 +176,35 @@ class TestCli:
             ("verify {inst} --points {bad}", '{"points": [["0", "0", "0"]]}'),
             ("verify {inst} --points {missing}", None),
             ("render {inst} --points {bad} --svg {svg}", '{"points": [["1/0", "0"]]}'),
+            # Strings unpack like arrays: "11" must not read as (1, 1).
+            ("check {bad}", _unit_instance(normal0="11")),
+            ("check {bad}", _unit_instance(offsets="100")),
+            ("verify {inst} --points {bad}", '{"points": ["12"]}'),
+            ("check {bad}", _unit_instance(member=["1"])),
+            ("generate --seed 1 --spread abc --out {bad}", None),
+            ("generate --seed 1 --spread 1/0 --out {bad}", None),
+            ("generate --seed 1 --spread -1 --out {bad}", None),
+            ("generate --seed 1 --n 2 --out {bad}", None),
+            ("generate --seed 1 --members 0 --out {bad}", None),
+            ("bench --seeds 1..2 --n 2", None),
+            ("bench --seeds 1..2 --spread 1/0", None),
         ],
         ids=["missing-file", "not-an-object", "bad-json", "points-bad-rational",
-             "points-three-coordinates", "points-missing-file", "render-points-bad-rational"],
+             "points-three-coordinates", "points-missing-file", "render-points-bad-rational",
+             "normal-string", "reference-offsets-string", "point-string",
+             "member-offsets-array", "generate-spread-not-rational",
+             "generate-spread-zero-denominator", "generate-spread-negative", "generate-n-2",
+             "generate-members-0", "bench-n-2", "bench-spread-zero-denominator"],
     )
-    def test_malformed_input_exits_2(self, instance_file, tmp_path, command, content):
+    def test_malformed_input_exits_2(self, instance_file, tmp_path, capsys, command,
+                                     content):
         bad = tmp_path / "bad.json"
         if content is not None:
             bad.write_text(content)
         names = {"inst": instance_file, "bad": bad, "missing": tmp_path / "missing.json",
                  "svg": tmp_path / "out.svg"}
         assert main([tok.format(**names) for tok in command.split()]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
 
     def test_render(self, instance_file, tmp_path):
         svg = str(tmp_path / "out.svg")

@@ -23,6 +23,8 @@ GOLDEN = {
         "1b25345036215873065cb49bc080fc367f0f4600a9a383c19b6f34b3ad4d0ca0",
     ("general", 5, 1):
         "bc04be2fe9edbfe1561da3a670eb37488422b3deb257e9398944de6746fa5462",
+    ("theorem2", 3, 1):
+        "a3fe630aa57ac07e0284979f9f75731620e9ee7fc88c9551e16b7640da06cf48",
     ("theorem2", 3, 7):
         "825b6747e1a39f5eb5b762eef16be90f8badec9d1c4d8cdb003130a05bef84ff",
     ("theorem2", 3, 13):
@@ -90,3 +92,4 @@ def test_golden_cases_reach_case2_and_the_n3_path(chains):
     t2 = [results["t2"] for _, results in chains.values() if "t2" in results]
     assert any("case2" in node for r in t2 for node in r["trace"].get("children", []))
     assert any(r["bound"] == 3 and "chosen_type" in r["trace"] for r in t2)
+    assert any(r["bound"] == 3 and "leaf_witness" in r["trace"] for r in t2)

@@ -67,6 +67,31 @@ class TestPierceSpecialN3:
         ]
         assert res.bound == 3 and res.initial_type_count == 1
         assert verify_piercing(special_three_translate, res.points).ok
+        # One round, reported as a flat trace.
+        assert res.trace.chosen_type == (0, 1, 2) and res.trace.children == []
+
+    def test_round_checks_run_for_n3(self, special_three_translate, monkeypatch):
+        # n = 3 is the loop's single round, so its per-member check runs.
+        calls = count_calls(monkeypatch, "pierce_special", "teo_check")
+        pierce_special(special_three_translate)
+        assert len(calls) == len(special_three_translate.members)
+
+    def test_unpierced_member_raises_with_whole_family(self, special_three_translate,
+                                                        monkeypatch):
+        module = sys.modules["polypierce.pierce_special"]
+        original = module._assign_and_remove
+
+        def leave_member_0(f, remaining, points, new_idxs, assignment):
+            still = original(f, remaining, points, new_idxs, assignment)
+            assignment.pop(0, None)
+            return sorted({0, *still})
+
+        monkeypatch.setattr(module, "_assign_and_remove", leave_member_0)
+        with pytest.raises(ClaimViolation) as info:
+            pierce_special(special_three_translate)
+        assert info.value.claim == "n3-midpoint-piercing"
+        assert info.value.detail == "member 0 contains none of the emitted points"
+        assert info.value.family is special_three_translate
 
     def test_common_point_one_point(self, special_triangle):
         fam = Family(

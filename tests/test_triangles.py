@@ -12,7 +12,6 @@ from polypierce import (
     RelatedPolygon,
     enumerate_empty_triangles,
     minimal_system,
-    midpoint_structure,
 )
 from polypierce.triangles import empty_types
 from conftest import translate_of
@@ -46,7 +45,7 @@ class TestEnumerate:
                 # vertex t is opposite side t; the other two sides pass through it
                 for u in range(3):
                     if u != t:
-                        assert tri.sides[u].on_boundary(tri.vertices[t])
+                        assert ms.entries[tri.dirs[u]].on_boundary(tri.vertices[t])
 
     def test_degenerate_parallel_pair(self):
         # Hand-built minimal system with an empty triple containing two
@@ -71,11 +70,11 @@ class TestMidpointStructure:
     def test_three_translate_midpoints(self, three_translate_family):
         ms = minimal_system(three_translate_family)
         tri = enumerate_empty_triangles(ms)[0]
-        mids, medial = midpoint_structure(tri)
         by_line = {}
         for t in range(3):
-            assert tri.sides[t].on_boundary(mids[t])
-            by_line[tri.sides[t].normal] = mids[t]
+            side = ms.entries[tri.dirs[t]]
+            assert side.on_boundary(tri.midpoints[t])
+            by_line[side.normal] = tri.midpoints[t]
         assert by_line[Direction(0, -1)] == Point(F(1, 2), F(3, 5))  # on y = 3/5
         assert by_line[Direction(-1, 0)] == Point(F(3, 5), F(1, 2))  # on x = 3/5
         assert by_line[Direction(1, 1)] == Point(F(1, 2), F(1, 2))   # on x + y = 1
@@ -86,29 +85,4 @@ class TestMidpointStructure:
         for t in range(3):
             for u in range(3):
                 if u != t:
-                    assert tri.sides[u].value(tri.midpoints[t]) > 0
-
-    def test_medial_sides_parallel_through_other_midpoints(self, three_translate_family):
-        ms = minimal_system(three_translate_family)
-        tri = enumerate_empty_triangles(ms)[0]
-        mids, medial = midpoint_structure(tri)
-        for t in range(3):
-            assert medial[t].normal == tri.sides[t].normal
-            for u in range(3):
-                if u != t:
-                    assert medial[t].on_boundary(mids[u])
-
-    def test_medial_triangle_inside_and_opposite_vertex_outside(self, three_translate_family):
-        ms = minimal_system(three_translate_family)
-        tri = enumerate_empty_triangles(ms)[0]
-        mids, medial = midpoint_structure(tri)
-        for m in mids:
-            for side in tri.sides:
-                assert side.minus_contains(m)
-        for t in range(3):
-            # medial plus-side strictly contains the edge of T on line t
-            # (both vertices on that line) and excludes the opposite vertex
-            for u in range(3):
-                if u != t:
-                    assert medial[t].value(tri.vertices[u]) < 0
-            assert medial[t].value(tri.vertices[t]) > 0
+                    assert ms.entries[tri.dirs[u]].value(tri.midpoints[t]) > 0
