@@ -16,7 +16,6 @@ from .family import (
     MinimalSystem,
     RelatedPolygon,
     Template,
-    family_intersection_witness,
     minimal_system,
     pairwise_check,
     validate_template,
@@ -43,8 +42,7 @@ __all__ = [
     "AuditFailure", "ClaimViolation", "DegenerateTriple", "EmptySystem",
     "GenerationExhausted", "NotSpecialClass", "PolypierceError", "TooLarge",
     "Family", "MinimalSystem", "RelatedPolygon", "Template",
-    "family_intersection_witness", "minimal_system", "pairwise_check",
-    "validate_template",
+    "minimal_system", "pairwise_check", "validate_template",
     "GenConfig", "generate", "random_template",
     "Direction", "Halfplane", "Point", "canonical_witness", "contains",
     "feasible", "line_intersect", "triple_plus_empty",

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification/audit failure, 2 invalid input,
 3 claim violation (a counterexample artifact is written next to the output).
-Every input file is read through `formats`, which raises InvalidInstance for
-a missing, malformed or invalid file; `main` turns that into exit 2.
+Files are read and written through `formats`, which raises InvalidInstance
+for a bad input file or an unwritable output; `main` maps it and the other
+errors in `_EXIT_INVALID_PREFIX` to exit 2.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .formats import (
     oracle_result_to_dict,
     result_to_dict,
     save_json,
+    write_text,
 )
 from .generate import GenConfig, generate
 from .oracle import optimal_piercing, verify_piercing
@@ -37,6 +39,14 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INVALID = 2
 EXIT_CLAIM = 3
+
+# The errors that `main` maps to exit 2, with the prefix of their message.
+_EXIT_INVALID_PREFIX = {
+    InvalidInstance: "invalid input",
+    NotSpecialClass: "invalid input for t2",
+    TooLarge: "instance too large",
+    GenerationExhausted: "generation failed",
+}
 
 
 def _pierce(f, algo):
@@ -59,11 +69,7 @@ def _gen_config(args, seed: int) -> GenConfig:
 
 
 def cmd_generate(args) -> int:
-    try:
-        fam = generate(_gen_config(args, args.seed))
-    except GenerationExhausted as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    fam = generate(_gen_config(args, args.seed))
     save_json(family_to_dict(fam), args.out)
     print(f"wrote {args.out}: n={fam.template.n} members={len(fam.members)}")
     return EXIT_OK
@@ -89,13 +95,14 @@ def cmd_pierce(args) -> int:
     t0 = time.perf_counter()
     try:
         result = _pierce(fam, args.algo)
-    except NotSpecialClass as exc:
-        print(f"invalid input for t2: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ClaimViolation as exc:
-        path = _write_cex(exc, args.out or args.file)
         print(f"claim violation [{exc.claim}]: {exc.detail}", file=sys.stderr)
-        print(f"counterexample written to {path}", file=sys.stderr)
+        try:
+            path = _write_cex(exc, args.out or args.file)
+        except InvalidInstance as write_error:
+            print(f"counterexample not written: {write_error}", file=sys.stderr)
+        else:
+            print(f"counterexample written to {path}", file=sys.stderr)
         return EXIT_CLAIM
     elapsed = time.perf_counter() - t0
     report = verify_piercing(fam, result.points)
@@ -114,11 +121,7 @@ def cmd_pierce(args) -> int:
 def cmd_exact(args) -> int:
     fam = load_family(args.file)
     t0 = time.perf_counter()
-    try:
-        res = optimal_piercing(fam, member_limit=args.limit)
-    except TooLarge as exc:
-        print(f"instance too large: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    res = optimal_piercing(fam, member_limit=args.limit)
     elapsed = time.perf_counter() - t0
     report = verify_piercing(fam, res.witness_points)
     if not report.ok:
@@ -147,9 +150,7 @@ def cmd_render(args) -> int:
     if pairwise_check(fam):
         print("family is not pairwise intersecting", file=sys.stderr)
         return EXIT_INVALID
-    svg = render_svg(fam, points)
-    with open(args.svg, "w") as fh:
-        fh.write(svg)
+    write_text(render_svg(fam, points), args.svg)
     print(f"wrote {args.svg}")
     return EXIT_OK
 
@@ -263,8 +264,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInstance as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+    except tuple(_EXIT_INVALID_PREFIX) as exc:
+        prefix = next(p for cls, p in _EXIT_INVALID_PREFIX.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import combinations
 
 from .errors import ClaimViolation
 from .geometry import (
@@ -145,16 +145,16 @@ def member_nonempty(template: Template, member: RelatedPolygon) -> bool:
     return feasible(member.halfplanes(template)) is not None
 
 
+def joint_system(f: Family, indices) -> list[Halfplane]:
+    """The members' halfplanes, concatenated in index order: their common region."""
+    return [h for i in indices for h in f.member_halfplanes(i)]
+
+
 def pairwise_check(f: Family) -> list[tuple[int, int]]:
     """Member-index pairs with empty (closed) intersection; empty list iff
     the family is pairwise intersecting."""
-    bad = []
-    systems = [f.member_halfplanes(i) for i in range(len(f.members))]
-    for i in range(len(f.members)):
-        for j in range(i + 1, len(f.members)):
-            if feasible(systems[i] + systems[j]) is None:
-                bad.append((i, j))
-    return bad
+    return [pair for pair in combinations(range(len(f.members)), 2)
+            if feasible(joint_system(f, pair)) is None]
 
 
 def minimal_system(f: Family) -> MinimalSystem:
@@ -163,25 +163,14 @@ def minimal_system(f: Family) -> MinimalSystem:
         for j, c in member.offsets.items():
             if j not in entries or c < entries[j].offset:
                 entries[j] = f.template.halfplane(j, c)
-    dirs = sorted(entries)
     # Consequence of pairwise intersection: any two minimal plus sides meet.
-    for x in range(len(dirs)):
-        for y in range(x + 1, len(dirs)):
-            if feasible([entries[dirs[x]], entries[dirs[y]]]) is None:
-                raise ClaimViolation(
-                    "pairwise-minimal",
-                    f"minimal halfplanes {dirs[x]} and {dirs[y]} are disjoint; "
-                    "family is not pairwise intersecting",
-                    family=f,
-                )
+    for a, b in combinations(sorted(entries), 2):
+        if feasible([entries[a], entries[b]]) is None:
+            raise ClaimViolation(
+                "pairwise-minimal",
+                f"minimal halfplanes {a} and {b} are disjoint; "
+                "family is not pairwise intersecting",
+                family=f,
+            )
     return MinimalSystem(entries=entries)
 
-
-def family_intersection_witness(f: Family) -> Optional[Point]:
-    """Point of the common intersection of all members, or None if empty.
-
-    The common intersection equals the intersection of the minimal halfplanes,
-    so the witness is the canonical witness of the minimal system.
-    """
-    ms = minimal_system(f)
-    return feasible(ms.halfplanes())

@@ -51,11 +51,15 @@ def family_to_dict(f: Family) -> dict:
 
 def family_from_dict(data: dict) -> Family:
     try:
-        if data.get("version") != FORMAT_VERSION:
-            raise InvalidInstance(f"unsupported version {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise InvalidInstance(f"unsupported version {version!r}")
         tmpl = data["template"]
         pairs = [_array(d, "normal", 2) for d in _array(tmpl["normals"], "normals")]
-        normals = [Direction(int(a), int(b)) for a, b in pairs]
+        # type() rules out bool, float and str, which int() would truncate.
+        if any(type(v) is not int for pair in pairs for v in pair):
+            raise InvalidInstance(f"normals must hold JSON integers, got {pairs!r}")
+        normals = [Direction(a, b) for a, b in pairs]
         offsets = [_rat(c) for c in
                    _array(tmpl["reference_offsets"], "reference_offsets")]
         template = Template(normals, offsets)
@@ -167,10 +171,17 @@ def oracle_result_to_dict(res, timings: Optional[dict] = None) -> dict:
     }
 
 
+def write_text(text: str, path: str) -> None:
+    """Write `text` to `path`; InvalidInstance when the file cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInstance(f"cannot write {path}: {exc}") from None
+
+
 def save_json(data: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", path)
 
 
 def counterexample_to_dict(exc) -> dict:

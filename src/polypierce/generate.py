@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import GenerationExhausted, GenerationInvariant
 from .family import Family, RelatedPolygon, Template, member_nonempty, pairwise_check
 from .geometry import Direction, Point, angle_cmp, canonical_witness
+from .pierce_special import classify_special
 
 RETRY_LIMIT = 64
 COORD_RANGE = 5
@@ -136,8 +137,7 @@ def _droppable_dirs(t: Template, cfg: GenConfig) -> list[int]:
         return list(range(t.n))
     # Special-class algorithms assume every member keeps its horizontal and
     # vertical edges; only slope directions may be dropped.
-    keep = {Direction(0, -1), Direction(1, 0)}
-    return [j for j, d in enumerate(t.normals) if d not in keep]
+    return [j for j, _ in classify_special(t).slope_indices]
 
 
 def _draw_member(rng: random.Random, t: Template, cfg: GenConfig) -> RelatedPolygon:

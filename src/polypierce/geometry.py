@@ -213,19 +213,9 @@ def triple_plus_empty(h1: Halfplane, h2: Halfplane, h3: Halfplane) -> bool:
 
 
 def region_vertices(system: Sequence[Halfplane]) -> list[Point]:
-    """All vertices of the plus-intersection, sorted counterclockwise.
+    """The distinct vertices of the plus-intersection, in no particular order.
 
     Intended for bounded regions (rendering, template validation); for
-    unbounded regions it returns whatever vertices exist.  Two or fewer
-    vertices come back in lexicographic order.
+    unbounded regions it returns whatever vertices exist.
     """
-    verts = list(dict.fromkeys(_plus_vertices(system)))
-    if len(verts) <= 2:
-        return sorted(verts, key=lambda q: (q.x, q.y))
-    cx = sum(v.x for v in verts) / len(verts)
-    cy = sum(v.y for v in verts) / len(verts)
-
-    def polar(v: Point):
-        return math.atan2(float(v.y - cy), float(v.x - cx))
-
-    return sorted(verts, key=polar)
+    return list(dict.fromkeys(_plus_vertices(system)))

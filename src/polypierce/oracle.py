@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AuditFailure, TooLarge
-from .family import Family
+from .family import Family, joint_system
 from .geometry import Point, canonical_witness, feasible
 
 
@@ -39,11 +39,6 @@ def verify_piercing(f: Family, points: list[Point]) -> VerificationReport:
     return VerificationReport(ok=not unpierced, unpierced=unpierced)
 
 
-def _joint_system(f: Family, indices) -> list:
-    """The members' halfplanes, concatenated in index order."""
-    return [h for i in indices for h in f.member_halfplanes(i)]
-
-
 def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
     m = len(f.members)
     if m > member_limit:
@@ -54,7 +49,7 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
     for mask in range(1, full + 1):
         bits = [i for i in range(m) if mask >> i & 1]
         if len(bits) <= 3:
-            feas[mask] = feasible(_joint_system(f, bits)) is not None
+            feas[mask] = feasible(joint_system(f, bits)) is not None
         else:
             feas[mask] = all(feas[mask ^ (1 << i)] for i in bits)
 
@@ -80,7 +75,7 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
         groups.append([i for i in range(m) if sub >> i & 1])
         mask ^= sub
     groups.sort()
-    witness_points = [canonical_witness(_joint_system(f, g)) for g in groups]
+    witness_points = [canonical_witness(joint_system(f, g)) for g in groups]
     return OracleResult(optimum=dp[full], witness_points=witness_points,
                         witness_groups=groups)
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import ClaimViolation
 from .family import Family, RelatedPolygon, minimal_system
-from .geometry import Point, canonical_witness, contains
+from .geometry import Halfplane, Point, canonical_witness, contains
 from .triangles import EmptyTriangle, enumerate_empty_triangles
 
 
@@ -39,6 +39,11 @@ class PiercingResult:
     bound: int
 
 
+def restricted_hull(f: Family, member: RelatedPolygon, dirs) -> list[Halfplane]:
+    """The member's hull restricted to `dirs`: its halfplanes with those directions."""
+    return [f.template.halfplane(j, c) for j, c in member.offsets.items() if j in dirs]
+
+
 def restricted_hull_contains(
     family: Family, member: RelatedPolygon, dirs: tuple[int, int, int], p: Point
 ) -> bool:
@@ -47,9 +52,7 @@ def restricted_hull_contains(
     Directions the member does not use impose no constraint, so this is
     vacuously true for members using none of them.
     """
-    return contains(
-        [family.template.halfplane(j, c) for j, c in member.offsets.items() if j in dirs], p
-    )
+    return contains(restricted_hull(family, member, dirs), p)
 
 
 def _point_indices(points: list[Point], new_points) -> list[int]:
@@ -62,9 +65,10 @@ def _point_indices(points: list[Point], new_points) -> list[int]:
     return idxs
 
 
-def _check_result(f: Family, points, assignment, bound: int, bound_text: str) -> None:
-    """The final claims of both algorithms: at most `bound` points, and every
-    member contains its assigned point."""
+def _finish(f: Family, points, assignment, trace: TraceNode, n0: int, bound: int,
+            bound_text: str) -> PiercingResult:
+    """The final claims of both algorithms, then their result: at most
+    `bound` points, and every member contains its assigned point."""
     if len(points) > bound:
         raise ClaimViolation(
             "point-bound", f"emitted {len(points)} points, above {bound_text}", family=f
@@ -74,6 +78,8 @@ def _check_result(f: Family, points, assignment, bound: int, bound_text: str) ->
             raise ClaimViolation(
                 "soundness", f"member {i} does not contain its assigned point", family=f
             )
+    return PiercingResult(points=points, assignment=assignment, trace=trace,
+                          initial_type_count=n0, bound=bound)
 
 
 def partition_by_midpoints(
@@ -143,12 +149,4 @@ def pierce_general(f: Family) -> PiercingResult:
     assignment: dict[int, int] = {}
     trace, root_types = _recurse(f, list(range(len(f.members))), None, points, assignment)
     n0 = len(root_types)
-    bound = 3 ** n0
-    _check_result(f, points, assignment, bound, f"3^{n0}")
-    return PiercingResult(
-        points=points,
-        assignment=assignment,
-        trace=trace,
-        initial_type_count=n0,
-        bound=bound,
-    )
+    return _finish(f, points, assignment, trace, n0, 3 ** n0, f"3^{n0}")

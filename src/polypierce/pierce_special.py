@@ -24,7 +24,7 @@ from .geometry import (
     canonical_witness,
     line_intersect,
 )
-from .pierce_general import PiercingResult, TraceNode, _check_result, _point_indices
+from .pierce_general import PiercingResult, TraceNode, _finish, _point_indices, restricted_hull
 from .triangles import _build_triangle, empty_types
 
 _DOWN = Direction(0, -1)
@@ -75,22 +75,15 @@ def classify_special(t) -> Optional[SpecialForm]:
     )
 
 
-def _line_meets_triangle(normal: Direction, offset: Fraction, verts) -> bool:
-    vals = [normal.dot(v) - offset for v in verts]
-    return min(vals) <= 0 <= max(vals)
-
-
 def teo_check(
     f: Family, member: RelatedPolygon, medial_vertices, dirs: tuple[int, int, int]
 ) -> bool:
     """At most one of the member's boundary lines with a direction in `dirs`
     meets the closed medial triangle."""
     hits = 0
-    for j in dirs:
-        c = member.offsets.get(j)
-        if c is None:
-            continue
-        if _line_meets_triangle(f.template.normals[j], c, medial_vertices):
+    for h in restricted_hull(f, member, dirs):
+        vals = [h.value(v) for v in medial_vertices]
+        if min(vals) <= 0 <= max(vals):
             hits += 1
     return hits <= 1
 
@@ -113,7 +106,6 @@ def _assign_and_remove(f, remaining, points, new_idxs, assignment):
 def _check_triples(f: Family, sf: SpecialForm, types) -> list[int]:
     """Empty triples must all be of shape (h, v, slope); return the slope
     indices involved, in ascending-slope order."""
-    slope_of = dict(sf.slope_indices)
     hit = set()
     for dirs in types:
         rest = set(dirs) - {sf.h_index, sf.v_index}
@@ -125,7 +117,7 @@ def _check_triples(f: Family, sf: SpecialForm, types) -> list[int]:
                 family=f,
             )
         hit.add(rest.pop())
-    return sorted(hit, key=lambda j: slope_of[j])
+    return [j for j, _ in sf.slope_indices if j in hit]
 
 
 def pierce_special(f: Family) -> PiercingResult:
@@ -166,7 +158,7 @@ def pierce_special(f: Family) -> PiercingResult:
                 )
             handled.add(s)
             dirs = tuple(sorted((sf.h_index, sf.v_index, s)))
-            e = _build_triangle(dirs, tuple(ms.entries[j] for j in dirs))
+            e = _build_triangle(ms, dirs)
             by_dir = dict(zip(dirs, e.midpoints))
             m_h, m_v, m_s = by_dir[sf.h_index], by_dir[sf.v_index], by_dir[s]
             node.chosen_type = dirs
@@ -241,16 +233,9 @@ def pierce_special(f: Family) -> PiercingResult:
             )
         types = next_types
 
-    _check_result(f, points, assignment, bound,
-                  "3 for n = 3" if n == 3 else f"4(n-2)={bound}")
     if n == 3:
         # The result format, pinned by the golden files, keeps n = 3 flat:
         # the trace is the single round's node.
         (trace,) = trace.children
-    return PiercingResult(
-        points=points,
-        assignment=assignment,
-        trace=trace,
-        initial_type_count=n0,
-        bound=bound,
-    )
+    return _finish(f, points, assignment, trace, n0, bound,
+                   "3 for n = 3" if n == 3 else f"4(n-2)={bound}")

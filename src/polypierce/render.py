@@ -7,6 +7,7 @@ step; nothing rendered here is ever parsed back into a computation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -34,22 +35,28 @@ def _box_halfplanes(xmin, ymin, xmax, ymax) -> list[Halfplane]:
     ]
 
 
+def _display_order(verts: list[Point]) -> list[Point]:
+    """Vertices sorted counterclockwise around their centroid; two or fewer
+    come back in lexicographic order."""
+    if len(verts) <= 2:
+        return sorted(verts, key=lambda q: (q.x, q.y))
+    cx = sum(v.x for v in verts) / len(verts)
+    cy = sum(v.y for v in verts) / len(verts)
+
+    def polar(v: Point):
+        return math.atan2(float(v.y - cy), float(v.x - cx))
+
+    return sorted(verts, key=polar)
+
+
 def _viewport(f: Family, points) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
-    for i in range(len(f.members)):
-        for v in region_vertices(f.member_halfplanes(i)):
-            xs.append(v.x)
-            ys.append(v.y)
-    for p in points:
-        xs.append(p.x)
-        ys.append(p.y)
-    if not xs:
-        for v in region_vertices(f.template.reference_halfplanes()):
-            xs.append(v.x)
-            ys.append(v.y)
-    if not xs:
-        xs, ys = [Fraction(-1), Fraction(1)], [Fraction(-1), Fraction(1)]
+    pts = [v for i in range(len(f.members)) for v in region_vertices(f.member_halfplanes(i))]
+    pts += points
+    if not pts:
+        pts = region_vertices(f.template.reference_halfplanes())
+    if not pts:
+        pts = [Point(-1, -1), Point(1, 1)]
+    xs, ys = [p.x for p in pts], [p.y for p in pts]
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     w = max(xmax - xmin, ymax - ymin, Fraction(1))
     pad = w / 5
@@ -113,7 +120,7 @@ class _Canvas:
 def _clip_line_to_box(h: Halfplane, box: list[Halfplane]) -> Optional[tuple[Point, Point]]:
     """The part of h's boundary line inside the box, as its two end points in
     lexicographic order; None when the line misses the box or only touches it."""
-    ends = region_vertices(box + [h, Halfplane(h.normal.neg(), -h.offset)])
+    ends = _display_order(region_vertices(box + [h, Halfplane(h.normal.neg(), -h.offset)]))
     return (ends[0], ends[1]) if len(ends) == 2 else None
 
 
@@ -124,7 +131,7 @@ def render_svg(f: Family, points: Optional[list[Point]] = None) -> str:
     canvas = _Canvas(xmin, ymin, xmax, ymax)
 
     for i in range(len(f.members)):
-        verts = region_vertices(f.member_halfplanes(i) + box)
+        verts = _display_order(region_vertices(f.member_halfplanes(i) + box))
         fill = _FILLS[i % len(_FILLS)]
         canvas.polygon(verts, fill, "0.25", fill)
 

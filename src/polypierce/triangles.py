@@ -23,7 +23,8 @@ class EmptyTriangle:
     midpoints: tuple[Point, Point, Point]
 
 
-def _build_triangle(dirs, sides) -> EmptyTriangle:
+def _build_triangle(ms: MinimalSystem, dirs: tuple[int, int, int]) -> EmptyTriangle:
+    sides = tuple(ms.entries[j] for j in dirs)
     e1, e2, e3 = sides
     v12 = line_intersect(e1, e2)
     v13 = line_intersect(e1, e3)
@@ -48,23 +49,22 @@ def _build_triangle(dirs, sides) -> EmptyTriangle:
             raise ClaimViolation(
                 "triangle-midpoint", f"midpoint {t} of triple {dirs} is off its side"
             )
-    return EmptyTriangle(dirs=tuple(dirs), vertices=vertices, midpoints=midpoints)
+    return EmptyTriangle(dirs=dirs, vertices=vertices, midpoints=midpoints)
+
+
+def _empty_dirs(ms: MinimalSystem):
+    """The empty direction triples of `ms`, in sorted order.  Both public
+    functions read this loop; neither calls the other, whose span would nest."""
+    for dirs in combinations(ms.dirs(), 3):
+        if triple_plus_empty(*(ms.entries[j] for j in dirs)):
+            yield dirs
 
 
 def enumerate_empty_triangles(ms: MinimalSystem) -> list[EmptyTriangle]:
     """One triangle per empty direction triple, sorted by the triple."""
-    out = []
-    for dirs in combinations(ms.dirs(), 3):
-        sides = tuple(ms.entries[j] for j in dirs)
-        if triple_plus_empty(*sides):
-            out.append(_build_triangle(dirs, sides))
-    return out
+    return [_build_triangle(ms, dirs) for dirs in _empty_dirs(ms)]
 
 
 def empty_types(ms: MinimalSystem) -> set[tuple[int, int, int]]:
     """The set of empty direction triples, without building the triangles."""
-    return {
-        dirs
-        for dirs in combinations(ms.dirs(), 3)
-        if triple_plus_empty(*(ms.entries[j] for j in dirs))
-    }
+    return set(_empty_dirs(ms))

@@ -18,10 +18,10 @@ from polypierce import (
     Point,
     canonical_witness,
     contains,
-    family_intersection_witness,
     feasible,
     generate,
     line_intersect,
+    minimal_system,
     optimal_piercing,
     pierce_general,
     pierce_special,
@@ -112,7 +112,7 @@ def test_criterion_1_helly_base_case():
             fam = generate(cfg)
         except GenerationExhausted:
             continue
-        if family_intersection_witness(fam) is not None:  # generator audit
+        if feasible(minimal_system(fam).halfplanes()) is not None:  # generator audit
             families.append(fam)
     singles = 0
     for fam in families:

@@ -14,7 +14,7 @@ from polypierce import (
     RelatedPolygon,
     Template,
     contains,
-    family_intersection_witness,
+    feasible,
     minimal_system,
     pairwise_check,
     validate_template,
@@ -174,14 +174,14 @@ class TestMinimalSystem:
 class TestFamilyIntersectionWitness:
     def test_single_member(self, unit_triangle):
         fam = Family(unit_triangle, [translate_of(unit_triangle, Point(0, 0))])
-        assert family_intersection_witness(fam) == Point(0, 0)
+        assert feasible(minimal_system(fam).halfplanes()) == Point(0, 0)
 
     def test_three_translate_absent(self, three_translate_family):
-        assert family_intersection_witness(three_translate_family) is None
+        assert feasible(minimal_system(three_translate_family).halfplanes()) is None
 
     def test_nested_translates(self, unit_triangle):
         small = RelatedPolygon({0: F(1, 2), 1: 0, 2: 0})
         big = translate_of(unit_triangle, Point(0, 0))
         fam = Family(unit_triangle, [big, small])
-        w = family_intersection_witness(fam)
+        w = feasible(minimal_system(fam).halfplanes())
         assert w is not None and small.contains(unit_triangle, w)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polypierce import Family, GenConfig, Point, generate
+from polypierce import ClaimViolation, Family, GenConfig, Point, generate
 from polypierce.cli import main
 from polypierce.render import render_svg
 from polypierce.formats import (
@@ -77,10 +77,10 @@ class TestFormats:
         assert back.members[0].offsets[0] == 2
 
 
-def _unit_instance(normal0=(1, 1), offsets=("1", "0", "0"), member=None) -> str:
+def _unit_instance(normal0=(1, 1), offsets=("1", "0", "0"), member=None, version=1) -> str:
     """The unit-triangle instance file's text, with one part replaced."""
     return json.dumps({
-        "version": 1,
+        "version": version,
         "template": {"normals": [normal0, [-1, 0], [0, -1]], "reference_offsets": offsets},
         "members": [{"offsets": member or {"0": "1", "1": "0", "2": "0"}}],
     })
@@ -188,13 +188,26 @@ class TestCli:
             ("generate --seed 1 --members 0 --out {bad}", None),
             ("bench --seeds 1..2 --n 2", None),
             ("bench --seeds 1..2 --spread 1/0", None),
+            # Normals and the version are JSON integers, not truncated.
+            ("check {bad}", _unit_instance(normal0=[1.5, 1])),
+            ("check {bad}", _unit_instance(normal0=[True, 1])),
+            ("check {bad}", _unit_instance(normal0=["1", "1"])),
+            ("check {bad}", _unit_instance(version=True)),
+            # An output file that cannot be written.
+            ("generate --seed 1 --out {nodir}.json", None),
+            ("pierce {inst} --algo t1 --out {nodir}.json", None),
+            ("exact {inst} --out {nodir}.json", None),
+            ("render {inst} --svg {nodir}.svg", None),
         ],
         ids=["missing-file", "not-an-object", "bad-json", "points-bad-rational",
              "points-three-coordinates", "points-missing-file", "render-points-bad-rational",
              "normal-string", "reference-offsets-string", "point-string",
              "member-offsets-array", "generate-spread-not-rational",
              "generate-spread-zero-denominator", "generate-spread-negative", "generate-n-2",
-             "generate-members-0", "bench-n-2", "bench-spread-zero-denominator"],
+             "generate-members-0", "bench-n-2", "bench-spread-zero-denominator",
+             "normal-float", "normal-bool", "normal-strings", "version-bool",
+             "generate-unwritable", "pierce-unwritable", "exact-unwritable",
+             "render-unwritable"],
     )
     def test_malformed_input_exits_2(self, instance_file, tmp_path, capsys, command,
                                      content):
@@ -202,9 +215,22 @@ class TestCli:
         if content is not None:
             bad.write_text(content)
         names = {"inst": instance_file, "bad": bad, "missing": tmp_path / "missing.json",
-                 "svg": tmp_path / "out.svg"}
+                 "svg": tmp_path / "out.svg", "nodir": tmp_path / "no" / "x"}
         assert main([tok.format(**names) for tok in command.split()]) == 2
-        assert capsys.readouterr().err.startswith("invalid input: ")
+        expected = "cannot write " if "{nodir}" in command else ""
+        assert capsys.readouterr().err.startswith("invalid input: " + expected)
+
+    def test_claim_violation_without_artifact_exits_3(self, instance_file, tmp_path,
+                                                     monkeypatch, capsys):
+        def violate(f):
+            raise ClaimViolation("soundness", "planted for the test", family=f)
+
+        monkeypatch.setattr("polypierce.cli.pierce_general", violate)
+        out = str(tmp_path / "no" / "x.json")
+        assert main(["pierce", instance_file, "--algo", "t1", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("claim violation [soundness]: planted for the test\n")
+        assert "counterexample not written: cannot write " in err
 
     def test_render(self, instance_file, tmp_path):
         svg = str(tmp_path / "out.svg")

@@ -15,7 +15,7 @@ from polypierce import (
     line_intersect,
     triple_plus_empty,
 )
-from polypierce.geometry import _foot_of_perpendicular
+from polypierce.geometry import _foot_of_perpendicular, _plus_vertices, region_vertices
 
 X_GE = lambda c: Halfplane(Direction(-1, 0), -F(c))   # x >= c
 X_LE = lambda c: Halfplane(Direction(1, 0), F(c))     # x <= c
@@ -182,6 +182,19 @@ class TestCanonicalWitness:
     def test_deterministic(self):
         sys = [Y_GE(0), SUM_LE(3), X_GE(-1)]
         assert canonical_witness(sys) == canonical_witness(sys)
+
+
+class TestRegionVertices:
+    def test_each_vertex_once(self):
+        # Three boundary lines meet at the origin, inside a bounding triangle
+        # (x + y >= -2, x <= 5, y <= 5): the region is the triangle with
+        # vertices (0, 0), (-2, 0), (0, -2).
+        system = [X_LE(0), Y_LE(0), SUM_LE(0),
+                  Halfplane(Direction(-1, -1), 2), X_LE(5), Y_LE(5)]
+        assert _plus_vertices(system).count(Point(0, 0)) == 3  # once per pair
+        verts = region_vertices(system)
+        assert len(verts) == 3
+        assert set(verts) == {Point(0, 0), Point(-2, 0), Point(0, -2)}
 
 
 class TestContains:

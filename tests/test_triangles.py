@@ -14,7 +14,7 @@ from polypierce import (
     minimal_system,
 )
 from polypierce.triangles import empty_types
-from conftest import translate_of
+from conftest import planted_family, translate_of
 
 
 class TestEnumerate:
@@ -59,6 +59,17 @@ class TestEnumerate:
         )
         with pytest.raises(DegenerateTriple):
             enumerate_empty_triangles(ms)
+
+    @pytest.mark.parametrize("class_mode, n", [("general", 5), ("theorem2", 6)])
+    def test_triangles_follow_the_empty_triples(self, class_mode, n):
+        # Both functions read one triple loop: same triples, same order.
+        nonempty = 0
+        for seed in range(6):
+            ms = minimal_system(planted_family(seed, class_mode, n, 12))
+            dirs = [tri.dirs for tri in enumerate_empty_triangles(ms)]
+            assert dirs == sorted(empty_types(ms))
+            nonempty += bool(dirs)
+        assert nonempty >= 3
 
     def test_count_bounded_by_triples(self, three_translate_family):
         ms = minimal_system(three_translate_family)
