@@ -53,10 +53,19 @@ def _pierce(f, algo):
     return pierce_general(f) if algo == "t1" else pierce_special(f)
 
 
-def _write_cex(exc: ClaimViolation, anchor: str) -> str:
+def _write_cex(exc: ClaimViolation, anchor: str) -> None:
+    """Report a claim violation and write its artifact next to `anchor`.
+
+    An artifact that cannot be written is reported, not raised: the caller
+    still exits 3, and `bench` still writes its row and goes on."""
+    print(f"claim violation [{exc.claim}]: {exc.detail}", file=sys.stderr)
     path = anchor + ".cex.json"
-    save_json(counterexample_to_dict(exc), path)
-    return path
+    try:
+        save_json(counterexample_to_dict(exc), path)
+    except InvalidInstance as write_error:
+        print(f"counterexample not written: {write_error}", file=sys.stderr)
+    else:
+        print(f"counterexample written to {path}", file=sys.stderr)
 
 
 def _gen_config(args, seed: int) -> GenConfig:
@@ -96,13 +105,7 @@ def cmd_pierce(args) -> int:
     try:
         result = _pierce(fam, args.algo)
     except ClaimViolation as exc:
-        print(f"claim violation [{exc.claim}]: {exc.detail}", file=sys.stderr)
-        try:
-            path = _write_cex(exc, args.out or args.file)
-        except InvalidInstance as write_error:
-            print(f"counterexample not written: {write_error}", file=sys.stderr)
-        else:
-            print(f"counterexample written to {path}", file=sys.stderr)
+        _write_cex(exc, args.out or args.file)
         return EXIT_CLAIM
     elapsed = time.perf_counter() - t0
     report = verify_piercing(fam, result.points)

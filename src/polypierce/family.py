@@ -23,6 +23,7 @@ from .geometry import (
     cross,
     feasible,
     region_vertices,
+    tightest,
 )
 
 
@@ -158,11 +159,9 @@ def pairwise_check(f: Family) -> list[tuple[int, int]]:
 
 
 def minimal_system(f: Family) -> MinimalSystem:
-    entries: dict[int, Halfplane] = {}
-    for member in f.members:
-        for j, c in member.offsets.items():
-            if j not in entries or c < entries[j].offset:
-                entries[j] = f.template.halfplane(j, c)
+    index = {d: j for j, d in enumerate(f.template.normals)}
+    joint = joint_system(f, range(len(f.members)))
+    entries = {index[h.normal]: h for h in tightest(joint)}
     # Consequence of pairwise intersection: any two minimal plus sides meet.
     for a, b in combinations(sorted(entries), 2):
         if feasible([entries[a], entries[b]]) is None:

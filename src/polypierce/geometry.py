@@ -5,10 +5,16 @@ A halfplane is stored as an outward normal plus an offset.  Its plus side is
 {p : normal . p <= offset}, the minus side is {p : normal . p >= offset}, and
 the two sides share the boundary line.
 
+`tightest` is the one owner of the rule that a plus-intersection depends only
+on the tightest halfplane per normal: the witness (`_solve`) enumerates on its
+output, and `family.minimal_system` reads its entries from it.
 `_plus_vertices` is the one place that enumerates meets of boundary lines:
-the witness (`_solve`), the region's vertices (`region_vertices`) and, through
-them, template validation and SVG clipping all read its list.  `contains` is
-the one plus-side containment predicate.
+the witness, the region's vertices (`region_vertices`) and, through them,
+template validation and SVG clipping all read its list.  `contains` is the
+one plus-side containment predicate.
+
+The witness depends only on the region, except in a strip (all normals
+parallel), where the tie goes to the earlier of the two tightest lines.
 """
 
 from __future__ import annotations
@@ -165,32 +171,50 @@ def _plus_vertices(system: Sequence[Halfplane]) -> list[Point]:
     return out
 
 
+def tightest(system: Sequence[Halfplane]) -> list[Halfplane]:
+    """For each normal, the first halfplane with the smallest offset.
+
+    The plus-intersection is unchanged: every dropped halfplane's plus side
+    contains the kept one's.  Winners stay in the order they appear in the
+    input, so a later winner is popped and re-inserted.
+    """
+    best: dict[Direction, Halfplane] = {}
+    for h in system:
+        kept = best.get(h.normal)
+        if kept is None:
+            best[h.normal] = h
+        elif h.offset < kept.offset:
+            del best[h.normal]
+            best[h.normal] = h
+    return list(best.values())
+
+
 def _solve(system: Sequence[Halfplane]) -> Optional[Point]:
     """Deterministic witness of the plus-side intersection, or None if empty.
 
-    When the feasible region has a vertex the witness is its lexicographically
-    smallest one (min x, then min y).  Vertex-free nonempty regions only occur
-    when all normals are collinear; those fall back to a canonical boundary
-    point nearest the origin.
+    The system is reduced by `tightest` first, which leaves the region and
+    its vertices unchanged.  When the region has a vertex the witness is its
+    lexicographically smallest one (min x, then min y).  Vertex-free nonempty
+    regions only occur when all normals are parallel; those fall back to the
+    point nearest the origin on the first remaining line, so in a strip the
+    tie goes to the earlier of the two tightest lines.
     """
+    system = tightest(system)
     if not system:
         return Point(0, 0)
-    d = system[0].normal
-    if all(cross(d, h.normal) == 0 for h in system):
-        # One-dimensional problem along t = d . p: the tightest halfplane
-        # with normal d bounds t above (there is one, system[0]), the
-        # tightest with normal -d bounds it below; ties go to the first index.
-        hi = min((h.offset, i) for i, h in enumerate(system) if h.normal == d)
-        lo = min(((h.offset, i) for i, h in enumerate(system) if h.normal != d),
-                 default=None)
-        if lo is None:
-            return _foot_of_perpendicular(system[hi[1]])
-        if -lo[0] > hi[0]:
+    first = system[0]
+    if len(system) == 1:
+        return _foot_of_perpendicular(first)
+    if len(system) == 2 and cross(first.normal, system[1].normal) == 0:
+        # A strip: distinct parallel normals are d and -d, so the region is
+        # -c' <= d . p <= c, which is empty iff c + c' < 0.
+        if first.offset + system[1].offset < 0:
             return None
-        return _foot_of_perpendicular(system[min(lo[1], hi[1])])
+        return _foot_of_perpendicular(first)
 
-    # Some pair of normals is independent: a nonempty region has a vertex,
-    # and every vertex is the meet of two boundary lines.
+    # At most two of the distinct normals are parallel, so some pair is
+    # independent: a nonempty region has a vertex, and every vertex is the
+    # meet of two boundary lines.
     return min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
 
 

@@ -79,11 +79,13 @@ def teo_check(
     f: Family, member: RelatedPolygon, medial_vertices, dirs: tuple[int, int, int]
 ) -> bool:
     """At most one of the member's boundary lines with a direction in `dirs`
-    meets the closed medial triangle."""
+    cuts the closed medial triangle: meets it and leaves a vertex strictly on
+    its minus side.  A line along an edge of the triangle, with the rest on
+    its plus side, cuts nothing off: the member may hold all three midpoints."""
     hits = 0
     for h in restricted_hull(f, member, dirs):
         vals = [h.value(v) for v in medial_vertices]
-        if min(vals) <= 0 <= max(vals):
+        if min(vals) <= 0 < max(vals):
             hits += 1
     return hits <= 1
 

@@ -232,6 +232,24 @@ class TestCli:
         assert err.startswith("claim violation [soundness]: planted for the test\n")
         assert "counterexample not written: cannot write " in err
 
+    def test_bench_claim_violation_without_artifact_goes_on(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def violate(f):
+            raise ClaimViolation("soundness", "planted for the test", family=f)
+
+        monkeypatch.setattr("polypierce.cli.pierce_general", violate)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bench-seed1-t1.cex.json").mkdir()  # seed 1's artifact cannot be written
+        rc = main(["bench", "--seeds", "1..2", "--n", "4", "--members", "4", "--algo", "t1"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+        assert [(r[0], r[-1]) for r in rows] == [("1", "claim_violation"),
+                                                 ("2", "claim_violation")]
+        assert "counterexample not written: cannot write bench-seed1-t1.cex.json" in captured.err
+        assert "counterexample written to bench-seed2-t1.cex.json" in captured.err
+        assert (tmp_path / "bench-seed2-t1.cex.json").is_file()
+
     def test_render(self, instance_file, tmp_path):
         svg = str(tmp_path / "out.svg")
         assert main(["render", instance_file, "--svg", svg]) == 0

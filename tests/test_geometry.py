@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polypierce import (
     Direction,
@@ -13,9 +14,18 @@ from polypierce import (
     contains,
     feasible,
     line_intersect,
+    minimal_system,
     triple_plus_empty,
 )
-from polypierce.geometry import _foot_of_perpendicular, _plus_vertices, region_vertices
+from polypierce.family import joint_system
+from polypierce.geometry import (
+    _foot_of_perpendicular,
+    _plus_vertices,
+    cross,
+    region_vertices,
+    tightest,
+)
+from conftest import count_calls, planted_family
 
 X_GE = lambda c: Halfplane(Direction(-1, 0), -F(c))   # x >= c
 X_LE = lambda c: Halfplane(Direction(1, 0), F(c))     # x <= c
@@ -221,3 +231,86 @@ class TestContains:
                 on_boundary += h.value(p) == 0
                 assert h.plus_contains(p) == (h.value(p) <= 0)
         assert on_boundary >= 4000
+
+
+def _unmerged_solve(system):
+    """The kernel before it reduced by `tightest`: the slow reference."""
+    if not system:
+        return Point(0, 0)
+    d = system[0].normal
+    if all(cross(d, h.normal) == 0 for h in system):
+        hi = min((h.offset, i) for i, h in enumerate(system) if h.normal == d)
+        lo = min(((h.offset, i) for i, h in enumerate(system) if h.normal != d),
+                 default=None)
+        if lo is None:
+            return _foot_of_perpendicular(system[hi[1]])
+        if -lo[0] > hi[0]:
+            return None
+        return _foot_of_perpendicular(system[min(lo[1], hi[1])])
+    return min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
+
+
+# Antiparallel pairs, so that strips and repeated directions are common.
+NORMALS = [Direction(a, b) for a, b in
+           [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (2, -1), (-2, 1)]]
+
+
+@st.composite
+def systems(draw):
+    """0-8 halfplanes on 1-4 normals with small offsets: repeated, parallel
+    and antiparallel normals, one-sided systems, strips and empty input."""
+    pool = draw(st.lists(st.sampled_from(NORMALS), min_size=1, max_size=4, unique=True))
+    offsets = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return draw(st.lists(st.builds(Halfplane, st.sampled_from(pool), offsets), max_size=8))
+
+
+class TestTightest:
+    @settings(max_examples=400, deadline=None)
+    @given(systems())
+    def test_witness_matches_unmerged_kernel(self, system):
+        reference = _unmerged_solve(system)
+        assert feasible(system) == reference
+        if reference is None:
+            with pytest.raises(EmptySystem):
+                canonical_witness(system)
+        else:
+            assert canonical_witness(system) == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(systems())
+    def test_one_tightest_per_normal_in_input_order(self, system):
+        kept = tightest(system)
+        assert len({h.normal for h in kept}) == len(kept)
+        for h in kept:
+            same = [g for g in system if g.normal == h.normal]
+            assert h.offset == min(g.offset for g in same)
+        positions = [next(i for i, g in enumerate(system)
+                          if g.normal == h.normal and g.offset == h.offset) for h in kept]
+        assert positions == sorted(positions)
+
+    def test_later_winner_moves_behind(self):
+        assert tightest([X_LE(5), X_GE(-1), X_LE(2)]) == [X_GE(-1), X_LE(2)]
+
+    @pytest.mark.parametrize("class_mode, n", [("general", 5), ("theorem2", 6)])
+    def test_minimal_system_matches_per_member_loop(self, class_mode, n):
+        for seed in range(6):
+            f = planted_family(seed, class_mode, n, 12)
+            entries = {}
+            for member in f.members:
+                for j, c in member.offsets.items():
+                    if j not in entries or c < entries[j].offset:
+                        entries[j] = f.template.halfplane(j, c)
+            assert minimal_system(f).entries == entries
+
+    def test_kernel_meets_distinct_normals_only(self, monkeypatch):
+        # The oracle's shape: the joint system of 3 planted members, k
+        # halfplanes on u distinct normals, costs at most C(u, 2) meets.
+        f = planted_family(0, "general", 5, 12)
+        meets = count_calls(monkeypatch, "geometry", "line_intersect")
+        for triple in itertools.combinations(range(6), 3):
+            system = joint_system(f, triple)
+            u = len({h.normal for h in system})
+            assert len(system) > u
+            meets.clear()
+            feasible(system)
+            assert len(meets) <= u * (u - 1) // 2

@@ -10,9 +10,11 @@ from polypierce import (
     GenConfig,
     NotSpecialClass,
     Point,
+    RelatedPolygon,
     Template,
     classify_special,
     generate,
+    pairwise_check,
     pierce_special,
     verify_piercing,
 )
@@ -55,6 +57,30 @@ class TestTeoCheck:
                  Point(F(-1, 2), F(1, 2)))
         for m in f.members:
             assert teo_check(f, m, verts, (0, 1, 2))
+
+    def test_lines_along_medial_edges_cut_nothing(self):
+        # Four members of a planted theorem2 n = 4 family.  Member 3's x- and
+        # y-lines run along two edges of the medial triangle of the empty
+        # triple (0, 2, 3), with the triangle on their plus sides, so the
+        # member holds all three midpoints: neither line cuts the triangle.
+        t = Template([Direction(1, 0), Direction(-4, 3), Direction(-7, 5), Direction(0, -1)],
+                     [0, 15, F(205, 8), 0])
+        f = Family(t, [
+            RelatedPolygon({0: F(-205, 112), 1: F(415, 28), 2: F(415, 16), 3: F(5, 2)}),
+            RelatedPolygon({0: F(65, 56), 2: F(205, 16), 3: F(15, 16)}),
+            RelatedPolygon({0: F(1025, 896), 1: F(4015, 224), 2: F(3855, 128), 3: F(-5, 2)}),
+            RelatedPolygon({0: F(-15, 16), 1: F(45, 2), 2: F(615, 16), 3: F(-5, 4)}),
+        ])
+        assert pairwise_check(f) == []
+        midpoints = [Point(F(-205, 112), F(5, 4)), Point(F(-15, 16), F(5, 4)),
+                     Point(F(-15, 16), F(5, 2))]
+        assert all(f.members[3].contains(t, p) for p in midpoints)
+        assert teo_check(f, f.members[3], midpoints, (0, 2, 3))
+        cutting = RelatedPolygon({0: -1, 3: -2})  # x <= -1, y >= 2: no midpoint
+        assert not teo_check(f, cutting, midpoints, (0, 2, 3))
+        res = pierce_special(f)
+        assert sorted(res.points, key=lambda p: (p.x, p.y)) == midpoints
+        assert verify_piercing(f, res.points).ok
 
 
 class TestPierceSpecialN3:

@@ -11,6 +11,10 @@ The corpus runs in-process, in a temporary directory:
   n = 4-7, seeds 0-5, 8-10 members) with their t1 and t2 results, and the
   oracle result of every second one (21);
 - one `generate` that exhausts its retries (exit 2);
+- one hand-written family on a square template whose members bound x only,
+  `{0: 5, 2: 1}` and `{0: 2}`, through `pierce --algo t1` and `exact`: its
+  joint system has both x-normals and a repeated one, so the kernel's strip
+  branch must break the tie between the two tightest lines;
 - two `bench` CSVs (theorem2 t2, and the defaults with both algorithms).
 
 The temporary directory's path, which shows in `wrote ...` lines, is replaced
@@ -38,10 +42,10 @@ import tempfile
 
 import polypierce
 from polypierce import classify_special, optimal_piercing, pierce_general, pierce_special
-from polypierce import verify_piercing
+from polypierce import Direction, Family, RelatedPolygon, Template, verify_piercing
 from polypierce.cli import main
 from polypierce.errors import PolypierceError
-from polypierce.formats import oracle_result_to_dict, result_to_dict
+from polypierce.formats import family_to_dict, oracle_result_to_dict, result_to_dict, save_json
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench"))
@@ -115,6 +119,22 @@ def run_chain(corpus: Corpus, class_mode: str, n: int, seed: int) -> None:
         corpus.add_file(f"{label}/{name}", os.path.join(d, name))
 
 
+def run_strip(corpus: Corpus) -> None:
+    label = "strip"
+    d = os.path.join(corpus.root, label)
+    os.mkdir(d)
+    inst = os.path.join(d, "inst.json")
+    square = Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0), Direction(0, -1)],
+                      [1, 1, 1, 1])
+    members = [RelatedPolygon({0: 5, 2: 1}), RelatedPolygon({0: 2})]
+    save_json(family_to_dict(Family(square, members)), inst)
+    corpus.run(f"{label}/pierce-t1", ["pierce", inst, "--algo", "t1", "--out",
+                                      os.path.join(d, "t1.json")])
+    corpus.run(f"{label}/exact", ["exact", inst, "--out", os.path.join(d, "opt.json")])
+    for name in sorted(os.listdir(d)):
+        corpus.add_file(f"{label}/{name}", os.path.join(d, name))
+
+
 def _dumps(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
@@ -147,6 +167,7 @@ def build(root: str) -> Corpus:
     # No strictly convex general 8-gon fits the coordinate range: exit 2.
     corpus.run("generate-exhausted", ["generate", "--seed", "0", "--n", "8",
                                       "--out", os.path.join(root, "exhausted.json")])
+    run_strip(corpus)
     k = 0
     for class_mode, n in PLANTED_CASES:
         for seed in PLANTED_SEEDS:
