@@ -7,6 +7,7 @@ decimal output anywhere is the display-only SVG layer.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -59,6 +60,9 @@ def family_from_dict(data: dict) -> Family:
         # type() rules out bool, float and str, which int() would truncate.
         if any(type(v) is not int for pair in pairs for v in pair):
             raise InvalidInstance(f"normals must hold JSON integers, got {pairs!r}")
+        # Direction divides by the gcd but the offsets stay: 2x <= 2 is not x <= 2.
+        if any(math.gcd(a, b) > 1 for a, b in pairs):
+            raise InvalidInstance(f"normals must be primitive (gcd 1), got {pairs!r}")
         normals = [Direction(a, b) for a, b in pairs]
         offsets = [_rat(c) for c in
                    _array(tmpl["reference_offsets"], "reference_offsets")]

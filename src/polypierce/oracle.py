@@ -1,14 +1,16 @@
 """Ground truth: piercing verification and exact optimal piercing numbers.
 
 A set of members is 1-pierceable iff their joint halfplane system is
-feasible, so the minimum piercing number is a minimum cover of the member
-set by feasible subsets.  Subset feasibility is decided exactly: a mask of
-at most 3 members asks the kernel about its joint system, and by Helly's
-theorem in the plane a larger mask is feasible iff every mask that drops one
-of its members is.  Masks are swept in increasing order, so those sub-masks
-are already decided, and the kernel sees only the subsets of size <= 3.  The
-cover is computed by dynamic programming over subset masks and pruned to a
-partition.
+feasible, so the minimum piercing number is a minimum partition of the
+member set into feasible subsets (feasibility is hereditary).  A mask of at
+most 3 members asks the kernel about its joint system; by Helly's theorem in
+the plane a larger mask is feasible iff every mask that drops one member is,
+which the increasing sweep over masks has decided.  The partition of a
+feasible mask is the mask.  That of an infeasible one is the first feasible
+submask in decreasing order that holds its lowest member and leaves a rest
+with the fewest groups, then the rest's partition (what a cover table over
+all masks that keeps strict improvements only picks).  An infeasible mask
+needs two groups or more, so the first submask whose rest is feasible wins.
 """
 
 from __future__ import annotations
@@ -39,6 +41,22 @@ def verify_piercing(f: Family, points: list[Point]) -> VerificationReport:
     return VerificationReport(ok=not unpierced, unpierced=unpierced)
 
 
+def _cover(feas: list[bool], mask: int, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """The partition of `mask` as the module docstring defines it, memoised."""
+    if feas[mask]:
+        return (mask,)
+    if mask not in memo:
+        low, sub, candidates = mask & -mask, mask, []
+        while sub := (sub - 1) & mask:
+            if sub & low and feas[sub]:
+                if feas[mask ^ sub]:
+                    memo[mask] = (sub, mask ^ sub)
+                    return memo[mask]
+                candidates.append(sub)
+        memo[mask] = min(((s,) + _cover(feas, mask ^ s, memo) for s in candidates), key=len)
+    return memo[mask]
+
+
 def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
     m = len(f.members)
     if m > member_limit:
@@ -52,31 +70,13 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
             feas[mask] = feasible(joint_system(f, bits)) is not None
         else:
             feas[mask] = all(feas[mask ^ (1 << i)] for i in bits)
-
-    INF = m + 1
-    dp = [INF] * (full + 1)
-    choice = [0] * (full + 1)
-    dp[0] = 0
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        sub = mask
-        while sub:
-            if sub & low and feas[sub] and dp[mask ^ sub] + 1 < dp[mask]:
-                dp[mask] = dp[mask ^ sub] + 1
-                choice[mask] = sub
-            sub = (sub - 1) & mask
-    if dp[full] >= INF:
+    if not all(feas[1 << i] for i in range(m)):
         raise AuditFailure("some single member is empty; family is unpierceable")
 
-    groups = []
-    mask = full
-    while mask:
-        sub = choice[mask]
-        groups.append([i for i in range(m) if sub >> i & 1])
-        mask ^= sub
-    groups.sort()
+    cover = _cover(feas, full, {}) if m else ()
+    groups = sorted([i for i in range(m) if sub >> i & 1] for sub in cover)
     witness_points = [canonical_witness(joint_system(f, g)) for g in groups]
-    return OracleResult(optimum=dp[full], witness_points=witness_points,
+    return OracleResult(optimum=len(groups), witness_points=witness_points,
                         witness_groups=groups)
 
 

@@ -193,6 +193,9 @@ class TestCli:
             ("check {bad}", _unit_instance(normal0=[True, 1])),
             ("check {bad}", _unit_instance(normal0=["1", "1"])),
             ("check {bad}", _unit_instance(version=True)),
+            # 2x + 2y <= 2 would read as x + y <= 2: normals must be primitive.
+            ("check {bad}", _unit_instance(normal0=(2, 2), offsets=("2", "0", "0"),
+                                           member={"0": "2", "1": "0", "2": "0"})),
             # An output file that cannot be written.
             ("generate --seed 1 --out {nodir}.json", None),
             ("pierce {inst} --algo t1 --out {nodir}.json", None),
@@ -206,6 +209,7 @@ class TestCli:
              "generate-spread-zero-denominator", "generate-spread-negative", "generate-n-2",
              "generate-members-0", "bench-n-2", "bench-spread-zero-denominator",
              "normal-float", "normal-bool", "normal-strings", "version-bool",
+             "normal-not-primitive",
              "generate-unwritable", "pierce-unwritable", "exact-unwritable",
              "render-unwritable"],
     )

@@ -3,12 +3,16 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polypierce import (
     AuditFailure,
+    Direction,
     Family,
     GenConfig,
     Point,
+    RelatedPolygon,
+    Template,
     TooLarge,
     bound_audit,
     feasible,
@@ -17,6 +21,7 @@ from polypierce import (
     pierce_general,
     verify_piercing,
 )
+from polypierce.oracle import _cover
 from conftest import count_calls, planted_family, translate_of
 
 
@@ -69,6 +74,18 @@ class TestOptimalPiercing:
             [translate_of(unit_triangle, v + shift) for v in base],
         )
         assert optimal_piercing(fam).optimum == optimal_piercing(moved).optimum
+
+    def test_empty_member_is_unpierceable(self):
+        square = Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0),
+                           Direction(0, -1)], [1, 1, 1, 1])
+        fam = Family(square, [RelatedPolygon({0: 1}), RelatedPolygon({0: -1, 2: -1})])
+        with pytest.raises(AuditFailure,
+                           match="^some single member is empty; family is unpierceable$"):
+            optimal_piercing(fam)
+
+    def test_empty_family(self, unit_triangle):
+        res = optimal_piercing(Family(unit_triangle, []))
+        assert (res.optimum, res.witness_groups, res.witness_points) == (0, [], [])
 
     def test_member_limit(self, unit_triangle):
         fam = Family(unit_triangle,
@@ -142,6 +159,88 @@ def test_optimum_matches_brute_force_cover(seed, class_mode, n, monkeypatch):
     assert optimal_piercing(fam).optimum == expected
     # The oracle asks the kernel once per subset of at most 3 members.
     assert len(calls) == sum(comb(m, k) for k in (1, 2, 3))
+
+
+def _reference_cover(feas: list[bool], m: int) -> tuple[int, list[list[int]]]:
+    """The slow reference: the oracle's cover DP before `_cover`, with its
+    loop and walk verbatim.  It fills dp and choice over all masks in 3^m
+    steps and walks choice back from the full mask; the groups come in walk
+    order."""
+    full = (1 << m) - 1
+    INF = m + 1
+    dp = [INF] * (full + 1)
+    choice = [0] * (full + 1)
+    dp[0] = 0
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        sub = mask
+        while sub:
+            if sub & low and feas[sub] and dp[mask ^ sub] + 1 < dp[mask]:
+                dp[mask] = dp[mask ^ sub] + 1
+                choice[mask] = sub
+            sub = (sub - 1) & mask
+    assert dp[full] < INF
+
+    groups = []
+    mask = full
+    while mask:
+        sub = choice[mask]
+        groups.append([i for i in range(m) if sub >> i & 1])
+        mask ^= sub
+    return dp[full], groups
+
+
+@st.composite
+def feasibility_tables(draw):
+    """(m, feas) for 1-10 members: a mask is feasible unless it is empty or
+    holds a forbidden pair or triple, so feas is downward closed and every
+    single member is feasible.  Each pair is forbidden with even odds, so
+    optima well above 2 occur."""
+    m = draw(st.integers(1, 10))
+    pairs = list(combinations(range(m), 2))
+    forbidden = [e for e, bad in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if bad]
+    if m >= 3:
+        forbidden += draw(st.lists(st.sets(st.integers(0, m - 1), min_size=3, max_size=3),
+                                   max_size=2 * m))
+    bad = [sum(1 << i for i in e) for e in forbidden]
+    return m, [mask != 0 and all(mask & b != b for b in bad) for mask in range(1 << m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasibility_tables())
+def test_cover_matches_reference_dp(table):
+    m, feas = table
+    groups = [[i for i in range(m) if sub >> i & 1] for sub in _cover(feas, (1 << m) - 1, {})]
+    assert (len(groups), groups) == _reference_cover(feas, m)
+
+
+def _shifted(fam: Family, step) -> Family:
+    """`fam` with member i translated by (i * step, 0)."""
+    t = fam.template
+    return Family(t, [
+        RelatedPolygon({j: c + t.normals[j].dot(Point(i * step, 0))
+                        for j, c in member.offsets.items()})
+        for i, member in enumerate(fam.members)])
+
+
+@pytest.mark.parametrize("class_mode,n", [("general", 4), ("theorem2", 5)])
+def test_optimum_and_groups_match_reference_dp(class_mode, n):
+    # Members shifted apart stop meeting, so optima of 3 or more occur.  The
+    # reference decides every mask on its whole joint system, with no Helly step.
+    optima = []
+    for seed in range(1, 7):
+        for step in (F(1, 2), F(1), F(2)):
+            fam = _shifted(planted_family(seed, class_mode, n, 8), step)
+            m = len(fam.members)
+            feas = [mask != 0 and feasible(
+                [h for i in range(m) if mask >> i & 1 for h in fam.member_halfplanes(i)])
+                is not None for mask in range(1 << m)]
+            optimum, groups = _reference_cover(feas, m)
+            res = optimal_piercing(fam)
+            assert (res.optimum, res.witness_groups) == (optimum, sorted(groups))
+            optima.append(optimum)
+    assert max(optima) >= 3
 
 
 class TestBoundAudit:

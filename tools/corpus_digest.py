@@ -15,13 +15,16 @@ The corpus runs in-process, in a temporary directory:
   `{0: 5, 2: 1}` and `{0: 2}`, through `pierce --algo t1` and `exact`: its
   joint system has both x-normals and a repeated one, so the kernel's strip
   branch must break the tie between the two tightest lines;
+- one hand-written family of 7 unit boxes `[x, x + 1] x [0, 1]` on the square
+  template, x = 0, 3/4, ..., 9/2, through `exact`: its optimum is 4 and many
+  partitions reach it, so the oracle's tie-break decides the witness groups;
 - two `bench` CSVs (theorem2 t2, and the defaults with both algorithms).
 
 The temporary directory's path, which shows in `wrote ...` lines, is replaced
 by a placeholder, and `timings` are dropped from result files: everything else
 is hashed byte for byte.  The script prints the counts and the digest.
 
-Usage, from the root of a checkout (about 30 s):
+Usage, from the root of a checkout (about 12 s on a 2-core host):
 
     PYTHONPATH=src python tools/corpus_digest.py
 
@@ -39,6 +42,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 import polypierce
 from polypierce import classify_special, optimal_piercing, pierce_general, pierce_special
@@ -119,17 +123,21 @@ def run_chain(corpus: Corpus, class_mode: str, n: int, seed: int) -> None:
         corpus.add_file(f"{label}/{name}", os.path.join(d, name))
 
 
-def run_strip(corpus: Corpus) -> None:
-    label = "strip"
+SQUARE = Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0), Direction(0, -1)],
+                  [1, 1, 1, 1])
+
+
+def run_square(corpus: Corpus, label: str, members: list[RelatedPolygon],
+               pierce: bool) -> None:
+    """A hand-written family on the square template through `pierce --algo
+    t1` (if `pierce`) and `exact`."""
     d = os.path.join(corpus.root, label)
     os.mkdir(d)
     inst = os.path.join(d, "inst.json")
-    square = Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0), Direction(0, -1)],
-                      [1, 1, 1, 1])
-    members = [RelatedPolygon({0: 5, 2: 1}), RelatedPolygon({0: 2})]
-    save_json(family_to_dict(Family(square, members)), inst)
-    corpus.run(f"{label}/pierce-t1", ["pierce", inst, "--algo", "t1", "--out",
-                                      os.path.join(d, "t1.json")])
+    save_json(family_to_dict(Family(SQUARE, members)), inst)
+    if pierce:
+        corpus.run(f"{label}/pierce-t1", ["pierce", inst, "--algo", "t1", "--out",
+                                          os.path.join(d, "t1.json")])
     corpus.run(f"{label}/exact", ["exact", inst, "--out", os.path.join(d, "opt.json")])
     for name in sorted(os.listdir(d)):
         corpus.add_file(f"{label}/{name}", os.path.join(d, name))
@@ -167,7 +175,12 @@ def build(root: str) -> Corpus:
     # No strictly convex general 8-gon fits the coordinate range: exit 2.
     corpus.run("generate-exhausted", ["generate", "--seed", "0", "--n", "8",
                                       "--out", os.path.join(root, "exhausted.json")])
-    run_strip(corpus)
+    run_square(corpus, "strip", [RelatedPolygon({0: 5, 2: 1}), RelatedPolygon({0: 2})],
+               pierce=True)
+    # Unit boxes [x, x + 1] x [0, 1], 3/4 apart: each meets only its neighbours.
+    run_square(corpus, "boxes", [RelatedPolygon({0: x + 1, 1: 1, 2: -x, 3: 0})
+                                 for x in (Fraction(3 * i, 4) for i in range(7))],
+               pierce=False)
     k = 0
     for class_mode, n in PLANTED_CASES:
         for seed in PLANTED_SEEDS:
