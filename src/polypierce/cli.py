@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -213,7 +214,10 @@ def _add_gen_flags(p, with_seed=True):
                    default="translate_repair")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it
+    (parsing leaves no state in the parser)."""
     parser = argparse.ArgumentParser(
         prog="polypierce",
         description="Piercing point sets for families of pairwise-intersecting "

@@ -5,13 +5,19 @@ A halfplane is stored as an outward normal plus an offset.  Its plus side is
 {p : normal . p <= offset}, the minus side is {p : normal . p >= offset}, and
 the two sides share the boundary line.
 
-`tightest` is the one owner of the rule that a plus-intersection depends only
-on the tightest halfplane per normal: the witness (`_solve`) enumerates on its
-output, and `family.minimal_system` reads its entries from it.
-`_plus_vertices` is the one place that enumerates meets of boundary lines:
-the witness, the region's vertices (`region_vertices`) and, through them,
-template validation and SVG clipping all read its list.  `contains` is the
-one plus-side containment predicate.
+`plus_empty` is the one routine that decides whether a plus-intersection is
+empty.  By Helly's theorem in the plane the intersection is empty iff that of
+some pair or triple of its halfplanes is, and Farkas' lemma gives each empty
+one a certificate: positive integer weights under which the normals sum to 0
+and the offsets to a negative number.  `plus_empty` checks that identity
+before it answers "empty".  `tightest` is the one owner of the rule that a
+plus-intersection depends only on the tightest halfplane per normal:
+`plus_empty` searches its output, the witness (`_solve`) enumerates on it, and
+`family.minimal_system` reads its entries from it.  `_plus_vertices` is the
+one place that enumerates meets of boundary lines, and it is reached only for
+points: the witness of a nonempty system, the region's vertices
+(`region_vertices`) and, through them, template validation and SVG clipping.
+`contains` is the one plus-side containment predicate.
 
 The witness depends only on the region, except in a strip (all normals
 parallel), where the tie goes to the earlier of the two tightest lines.
@@ -22,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptySystem
+from .errors import ClaimViolation, EmptySystem
 
 
 def _frac(v) -> Fraction:
@@ -189,33 +196,105 @@ def tightest(system: Sequence[Halfplane]) -> list[Halfplane]:
     return list(best.values())
 
 
+# A Farkas certificate of an empty plus-intersection: some of the system's
+# halfplanes and one positive integer weight per halfplane.
+Certificate = tuple[tuple[Halfplane, ...], tuple[int, ...]]
+
+
+def _check_certificate(halfplanes: Sequence[Halfplane], weights: Sequence[int]) -> None:
+    """Farkas' identity for an empty plus-intersection: every weight is a
+    positive integer, the weighted normals sum to 0 and the weighted offsets
+    to a negative number.  A plain check, so it runs under `python -O`."""
+    lcm = math.lcm(*(h.offset.denominator for h in halfplanes))
+    if not (len(weights) == len(halfplanes) > 0
+            and all(isinstance(w, int) and w > 0 for w in weights)
+            and sum(w * h.normal.a for w, h in zip(weights, halfplanes)) == 0
+            and sum(w * h.normal.b for w, h in zip(weights, halfplanes)) == 0
+            and sum(w * h.offset.numerator * (lcm // h.offset.denominator)
+                    for w, h in zip(weights, halfplanes)) < 0):
+        raise ClaimViolation(
+            "farkas-certificate",
+            f"weights {list(weights)} do not certify {list(halfplanes)} empty")
+
+
+def _search_certificate(system: Sequence[Halfplane]) -> Optional[Certificate]:
+    """The first empty antiparallel pair, else the first empty triple of
+    pairwise non-parallel normals, with its Farkas weights; None if neither.
+
+    `system` has one halfplane per normal.  A pair d, -d is empty iff its
+    offsets sum below 0.  Three pairwise non-parallel normals satisfy
+    cross(n2, n3) n1 + cross(n3, n1) n2 + cross(n1, n2) n3 = 0, and these are
+    their only weights with zero sum up to scale; the triple is empty iff the
+    three weights share a sign and, made positive, weight the offsets to a
+    negative sum.  A triple holding a parallel pair is empty iff that pair is.
+    Offset sums are signed in integers, with the denominators multiplied out.
+    """
+    normals = [h.normal for h in system]
+    nums = [h.offset.numerator for h in system]
+    dens = [h.offset.denominator for h in system]
+    for i, j in combinations(range(len(system)), 2):
+        if (normals[i].a == -normals[j].a and normals[i].b == -normals[j].b
+                and nums[i] * dens[j] + nums[j] * dens[i] < 0):
+            return (system[i], system[j]), (1, 1)
+    crosses = [[cross(d1, d2) for d2 in normals] for d1 in normals]
+    for i, j in combinations(range(len(system)), 2):
+        wk = crosses[i][j]
+        if wk == 0:
+            continue
+        for k in range(j + 1, len(system)):
+            wi, wj = crosses[j][k], crosses[k][i]
+            if wi * wk > 0 and wj * wk > 0:
+                weights = (abs(wi), abs(wj), abs(wk))
+                if (weights[0] * nums[i] * dens[j] * dens[k]
+                        + weights[1] * nums[j] * dens[i] * dens[k]
+                        + weights[2] * nums[k] * dens[i] * dens[j]) < 0:
+                    return (system[i], system[j], system[k]), weights
+    return None
+
+
+def plus_empty(system: Sequence[Halfplane]) -> Optional[Certificate]:
+    """None iff the plus-intersection is nonempty; otherwise a checked Farkas
+    certificate (halfplanes, positive integer weights) of its emptiness.
+
+    By Helly's theorem in the plane the intersection is empty iff that of
+    some pair or triple is, so after `tightest` only antiparallel pairs and
+    triples of pairwise non-parallel normals are searched.
+    """
+    certificate = _search_certificate(tightest(system))
+    if certificate is not None:
+        _check_certificate(*certificate)
+    return certificate
+
+
 def _solve(system: Sequence[Halfplane]) -> Optional[Point]:
     """Deterministic witness of the plus-side intersection, or None if empty.
 
     The system is reduced by `tightest` first, which leaves the region and
-    its vertices unchanged.  When the region has a vertex the witness is its
-    lexicographically smallest one (min x, then min y).  Vertex-free nonempty
-    regions only occur when all normals are parallel; those fall back to the
-    point nearest the origin on the first remaining line, so in a strip the
-    tie goes to the earlier of the two tightest lines.
+    its vertices unchanged, and `plus_empty` decides whether it is empty.
+    When the region has a vertex the witness is its lexicographically
+    smallest one (min x, then min y).  Vertex-free nonempty regions only
+    occur when all normals are parallel; those fall back to the point
+    nearest the origin on the first remaining line, so in a strip the tie
+    goes to the earlier of the two tightest lines.
     """
     system = tightest(system)
+    if plus_empty(system) is not None:
+        return None
     if not system:
         return Point(0, 0)
     first = system[0]
-    if len(system) == 1:
+    if len(system) == 1 or (len(system) == 2 and cross(first.normal, system[1].normal) == 0):
         return _foot_of_perpendicular(first)
-    if len(system) == 2 and cross(first.normal, system[1].normal) == 0:
-        # A strip: distinct parallel normals are d and -d, so the region is
-        # -c' <= d . p <= c, which is empty iff c + c' < 0.
-        if first.offset + system[1].offset < 0:
-            return None
-        return _foot_of_perpendicular(first)
-
     # At most two of the distinct normals are parallel, so some pair is
     # independent: a nonempty region has a vertex, and every vertex is the
     # meet of two boundary lines.
-    return min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
+    witness = min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
+    if witness is None:
+        raise ClaimViolation(
+            "kernel-agreement",
+            f"no vertex in the plus-intersection of {system}, "
+            "which plus_empty found nonempty")
+    return witness
 
 
 def feasible(system: Sequence[Halfplane]) -> Optional[Point]:
@@ -233,7 +312,7 @@ def canonical_witness(system: Sequence[Halfplane]) -> Point:
 
 def triple_plus_empty(h1: Halfplane, h2: Halfplane, h3: Halfplane) -> bool:
     """True iff the three plus sides have empty common intersection."""
-    return _solve((h1, h2, h3)) is None
+    return plus_empty((h1, h2, h3)) is not None
 
 
 def region_vertices(system: Sequence[Halfplane]) -> list[Point]:

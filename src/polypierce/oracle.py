@@ -3,7 +3,7 @@
 A set of members is 1-pierceable iff their joint halfplane system is
 feasible, so the minimum piercing number is a minimum partition of the
 member set into feasible subsets (feasibility is hereditary).  A mask of at
-most 3 members asks the kernel about its joint system; by Helly's theorem in
+most 3 members asks `plus_empty` about its joint system; by Helly's theorem in
 the plane a larger mask is feasible iff every mask that drops one member is,
 which the increasing sweep over masks has decided.  The partition of a
 feasible mask is the mask.  That of an infeasible one is the first feasible
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AuditFailure, TooLarge
 from .family import Family, joint_system
-from .geometry import Point, canonical_witness, feasible
+from .geometry import Point, canonical_witness, plus_empty
 
 
 @dataclass
@@ -67,7 +67,7 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
     for mask in range(1, full + 1):
         bits = [i for i in range(m) if mask >> i & 1]
         if len(bits) <= 3:
-            feas[mask] = feasible(joint_system(f, bits)) is not None
+            feas[mask] = plus_empty(joint_system(f, bits)) is None
         else:
             feas[mask] = all(feas[mask ^ (1 << i)] for i in bits)
     if not all(feas[1 << i] for i in range(m)):

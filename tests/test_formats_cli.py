@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import polypierce
 from polypierce import ClaimViolation, Family, GenConfig, Point, generate
-from polypierce.cli import main
+from polypierce.cli import build_parser, main
 from polypierce.render import render_svg
 from polypierce.formats import (
     InvalidInstance,
@@ -91,6 +95,58 @@ def instance_file(three_translate_family, tmp_path):
     path = str(tmp_path / "inst.json")
     save_json(family_to_dict(three_translate_family), path)
     return path
+
+
+# The documented chain, then an argparse error (--algo is required).
+CHAIN = [
+    "generate --seed 5 --n 4 --members 5 --spread 2 --class theorem2 --out {d}/gen.json",
+    "check {d}/gen.json",
+    "pierce {d}/gen.json --algo t2 --out {d}/res.json",
+    "verify {d}/gen.json --points {d}/res.json",
+    "pierce {d}/gen.json",
+]
+
+
+def _chain_outcome(d, run) -> list:
+    """(exit code, stdout, stderr, files so far) after each CHAIN command, with
+    the directory replaced by "{d}" and the result file's timings dropped."""
+    outcome = []
+    for command in CHAIN:
+        code, out, err = run(command.format(d=d).split())
+        files = {}
+        for name in sorted(os.listdir(d)):
+            data = json.loads((d / name).read_text())
+            data.pop("timings", None)
+            files[name] = data
+        outcome.append((code, out.replace(str(d), "{d}"), err.replace(str(d), "{d}"), files))
+    return outcome
+
+
+def test_cli_shares_its_parser_and_matches_fresh_runs(tmp_path, capsys):
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    src = os.path.dirname(os.path.dirname(polypierce.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def fresh(argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from polypierce.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    (tmp_path / "one").mkdir()
+    (tmp_path / "fresh").mkdir()
+    shared = _chain_outcome(tmp_path / "one", in_process)
+    assert build_parser() is build_parser()
+    assert [code for code, *_ in shared] == [0, 0, 0, 0, 2]
+    assert _chain_outcome(tmp_path / "fresh", fresh) == shared
 
 
 class TestCli:

@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polypierce
 from polypierce import (
+    ClaimViolation,
     Direction,
     EmptySystem,
     Halfplane,
@@ -22,10 +27,12 @@ from polypierce.geometry import (
     _foot_of_perpendicular,
     _plus_vertices,
     cross,
+    plus_empty,
     region_vertices,
     tightest,
 )
 from conftest import count_calls, planted_family
+from exactness_cases import FEASIBILITY_WITNESSES, TRIPLE_EMPTINESS
 
 X_GE = lambda c: Halfplane(Direction(-1, 0), -F(c))   # x >= c
 X_LE = lambda c: Halfplane(Direction(1, 0), F(c))     # x <= c
@@ -314,3 +321,96 @@ class TestTightest:
             meets.clear()
             feasible(system)
             assert len(meets) <= u * (u - 1) // 2
+
+
+def _enumerating_solve(system):
+    """The kernel before `plus_empty`: it decided emptiness by enumerating
+    vertices.  The slow reference for the certificate search."""
+    system = tightest(system)
+    if not system:
+        return Point(0, 0)
+    first = system[0]
+    if len(system) == 1:
+        return _foot_of_perpendicular(first)
+    if len(system) == 2 and cross(first.normal, system[1].normal) == 0:
+        if first.offset + system[1].offset < 0:
+            return None
+        return _foot_of_perpendicular(first)
+    return min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
+
+
+def _certifies(system, certificate) -> bool:
+    """Farkas' identity in Fractions: the certificate's halfplanes come from
+    `system`, its weights are positive integers, the weighted normals sum to
+    0 and the weighted offsets to a negative number."""
+    halfplanes, weights = certificate
+    return (len(halfplanes) == len(weights) > 0
+            and all(h in system for h in halfplanes)
+            and all(type(w) is int and w > 0 for w in weights)
+            and sum(w * h.normal.a for w, h in zip(weights, halfplanes)) == 0
+            and sum(w * h.normal.b for w, h in zip(weights, halfplanes)) == 0
+            and sum(w * h.offset for w, h in zip(weights, halfplanes)) < 0)
+
+
+def _hp(case) -> Halfplane:
+    (a, b), c = case
+    return Halfplane(Direction(a, b), F(c))
+
+
+class TestPlusEmpty:
+    @settings(max_examples=400, deadline=None)
+    @given(systems())
+    def test_matches_enumerating_kernel(self, system):
+        certificate = plus_empty(system)
+        assert (certificate is None) == (_enumerating_solve(system) is not None)
+        assert certificate is None or _certifies(system, certificate)
+
+    def test_matches_frozen_exactness_cases(self):
+        for triple, empty in TRIPLE_EMPTINESS:
+            hs = [_hp(c) for c in triple]
+            certificate = plus_empty(hs)
+            assert (certificate is not None) is empty
+            assert certificate is None or _certifies(hs, certificate)
+        for system, witness in FEASIBILITY_WITNESSES:
+            hs = [_hp(c) for c in system]
+            certificate = plus_empty(hs)
+            assert (certificate is None) == (witness is not None)
+            assert certificate is None or _certifies(hs, certificate)
+
+    def test_certificates(self):
+        assert plus_empty([X_GE(1), X_LE(0)]) == ((X_GE(1), X_LE(0)), (1, 1))
+        assert plus_empty([X_GE(1), Y_GE(1), SUM_LE(1)]) == (
+            (X_GE(1), Y_GE(1), SUM_LE(1)), (1, 1, 1))
+        # The tightest halfplane per normal carries the certificate.
+        assert plus_empty([X_LE(3), X_GE(1), X_LE(0)]) == ((X_GE(1), X_LE(0)), (1, 1))
+        assert plus_empty([]) is None
+        assert plus_empty(UNIT_TRIANGLE) is None
+        assert plus_empty([X_GE(0), Y_GE(0), SUM_LE(0)]) is None  # one point
+
+    def test_forged_certificate_raises_under_python_O(self):
+        # The certificate check is a raised error, not an assert that -O strips.
+        code = (
+            "from polypierce import *\n"
+            "from polypierce import geometry\n"
+            "geometry._search_certificate = lambda system: (tuple(system[:2]), (1, 1))\n"
+            "try:\n"
+            "    geometry.plus_empty([Halfplane(Direction(1, 0), 0),"
+            " Halfplane(Direction(-1, 0), 1)])\n"
+            "except ClaimViolation as exc:\n"
+            "    print(exc.claim, __debug__)\n"
+        )
+        src = os.path.dirname(os.path.dirname(polypierce.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["farkas-certificate", "False"]
+
+    def test_witness_without_vertex_raises(self, monkeypatch):
+        monkeypatch.setattr("polypierce.geometry._plus_vertices", lambda system: [])
+        with pytest.raises(ClaimViolation, match="^kernel-agreement"):
+            feasible(UNIT_TRIANGLE)
+        # A line or a strip has no vertex, and its witness needs none.
+        assert feasible([X_LE(2)]) == Point(2, 0)
+        assert feasible([X_LE(2), X_GE(-3)]) == Point(2, 0)
+        assert feasible([X_GE(1), X_LE(0)]) is None

@@ -155,9 +155,9 @@ def test_optimum_matches_brute_force_cover(seed, class_mode, n, monkeypatch):
     direct = lambda block: feasible(
         [h for i in block for h in fam.member_halfplanes(i)]) is not None
     expected = _min_partition(m, direct)
-    calls = count_calls(monkeypatch, "oracle", "feasible")
+    calls = count_calls(monkeypatch, "oracle", "plus_empty")
     assert optimal_piercing(fam).optimum == expected
-    # The oracle asks the kernel once per subset of at most 3 members.
+    # The oracle asks `plus_empty` once per subset of at most 3 members.
     assert len(calls) == sum(comb(m, k) for k in (1, 2, 3))
 
 
