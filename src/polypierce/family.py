@@ -165,10 +165,13 @@ def minimal_system(f: Family) -> MinimalSystem:
     entries = {index[h.normal]: h for h in tightest(joint)}
     # Consequence of pairwise intersection: any two minimal plus sides meet.
     for a, b in combinations(sorted(entries), 2):
-        if plus_empty([entries[a], entries[b]]) is not None:
+        certificate = plus_empty([entries[a], entries[b]])
+        if certificate is not None:
+            halfplanes, weights = certificate
             raise ClaimViolation(
                 "pairwise-minimal",
-                f"minimal halfplanes {a} and {b} are disjoint; "
+                f"minimal halfplanes {a} and {b} are disjoint "
+                f"(Farkas weights {list(weights)} on {list(halfplanes)}); "
                 "family is not pairwise intersecting",
                 family=f,
             )

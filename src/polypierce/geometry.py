@@ -183,16 +183,20 @@ def tightest(system: Sequence[Halfplane]) -> list[Halfplane]:
 
     The plus-intersection is unchanged: every dropped halfplane's plus side
     contains the kept one's.  Winners stay in the order they appear in the
-    input, so a later winner is popped and re-inserted.
+    input, so a later winner is popped and re-inserted.  Normals are keyed by
+    their (a, b) pair and offsets compared by integer cross-multiplication
+    (denominators are positive), since this runs on every kernel call.
     """
-    best: dict[Direction, Halfplane] = {}
+    best: dict[tuple[int, int], Halfplane] = {}
     for h in system:
-        kept = best.get(h.normal)
+        key = (h.normal.a, h.normal.b)
+        kept = best.get(key)
         if kept is None:
-            best[h.normal] = h
-        elif h.offset < kept.offset:
-            del best[h.normal]
-            best[h.normal] = h
+            best[key] = h
+        elif (h.offset.numerator * kept.offset.denominator
+              < kept.offset.numerator * h.offset.denominator):
+            del best[key]
+            best[key] = h
     return list(best.values())
 
 
@@ -229,20 +233,21 @@ def _search_certificate(system: Sequence[Halfplane]) -> Optional[Certificate]:
     negative sum.  A triple holding a parallel pair is empty iff that pair is.
     Offset sums are signed in integers, with the denominators multiplied out.
     """
-    normals = [h.normal for h in system]
+    normals = [(h.normal.a, h.normal.b) for h in system]
     nums = [h.offset.numerator for h in system]
     dens = [h.offset.denominator for h in system]
     for i, j in combinations(range(len(system)), 2):
-        if (normals[i].a == -normals[j].a and normals[i].b == -normals[j].b
+        if (normals[i][0] == -normals[j][0] and normals[i][1] == -normals[j][1]
                 and nums[i] * dens[j] + nums[j] * dens[i] < 0):
             return (system[i], system[j]), (1, 1)
-    crosses = [[cross(d1, d2) for d2 in normals] for d1 in normals]
     for i, j in combinations(range(len(system)), 2):
-        wk = crosses[i][j]
+        (ai, bi), (aj, bj) = normals[i], normals[j]
+        wk = ai * bj - bi * aj
         if wk == 0:
             continue
         for k in range(j + 1, len(system)):
-            wi, wj = crosses[j][k], crosses[k][i]
+            ak, bk = normals[k]
+            wi, wj = aj * bk - bj * ak, ak * bi - bk * ai
             if wi * wk > 0 and wj * wk > 0:
                 weights = (abs(wi), abs(wj), abs(wk))
                 if (weights[0] * nums[i] * dens[j] * dens[k]

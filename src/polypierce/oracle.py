@@ -2,10 +2,13 @@
 
 A set of members is 1-pierceable iff their joint halfplane system is
 feasible, so the minimum piercing number is a minimum partition of the
-member set into feasible subsets (feasibility is hereditary).  A mask of at
-most 3 members asks `plus_empty` about its joint system; by Helly's theorem in
-the plane a larger mask is feasible iff every mask that drops one member is,
-which the increasing sweep over masks has decided.  The partition of a
+member set into feasible subsets (feasibility is hereditary).  Each member's
+halfplanes are built once, and a mask of at most 3 members asks `plus_empty`
+about their joint system.  A larger mask is feasible iff the four masks that
+drop one of its four lowest members are, and the increasing sweep over masks
+has decided those: by Helly's theorem in the plane an infeasible mask holds an
+infeasible set of at most 3 members, and one of any four members lies outside
+that set, so dropping it leaves an infeasible mask.  The partition of a
 feasible mask is the mask.  That of an infeasible one is the first feasible
 submask in decreasing order that holds its lowest member and leaves a rest
 with the fewest groups, then the rest's partition (what a cover table over
@@ -16,6 +19,7 @@ needs two groups or more, so the first submask whose rest is feasible wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import AuditFailure, TooLarge
 from .family import Family, joint_system
@@ -62,14 +66,25 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
     if m > member_limit:
         raise TooLarge(f"{m} members exceeds oracle limit {member_limit}")
 
+    systems = [f.member_halfplanes(i) for i in range(m)]
     full = (1 << m) - 1
     feas = [False] * (full + 1)
+    for k in (1, 2, 3):
+        for combo in combinations(range(m), k):
+            system = [h for i in combo for h in systems[i]]
+            feas[sum(1 << i for i in combo)] = plus_empty(system) is None
     for mask in range(1, full + 1):
-        bits = [i for i in range(m) if mask >> i & 1]
-        if len(bits) <= 3:
-            feas[mask] = plus_empty(joint_system(f, bits)) is None
-        else:
-            feas[mask] = all(feas[mask ^ (1 << i)] for i in bits)
+        if mask.bit_count() > 3:
+            # a, b, c, d: the bits of the mask's four lowest members.
+            a = mask & -mask
+            rest = mask ^ a
+            b = rest & -rest
+            rest ^= b
+            c = rest & -rest
+            rest ^= c
+            d = rest & -rest
+            feas[mask] = (feas[mask ^ a] and feas[mask ^ b]
+                          and feas[mask ^ c] and feas[mask ^ d])
     if not all(feas[1 << i] for i in range(m)):
         raise AuditFailure("some single member is empty; family is unpierceable")
 

@@ -8,6 +8,7 @@ import pytest
 
 import polypierce
 from polypierce import (
+    ClaimViolation,
     Direction,
     Family,
     Point,
@@ -140,6 +141,21 @@ class TestMinimalSystem:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["pairwise-minimal", "False"]
+
+    def test_disjoint_pair_detail_carries_certificate(self):
+        t = Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0),
+                      Direction(0, -1)], [1, 1, 1, 1])
+        f = Family(t, [RelatedPolygon({0: 0}), RelatedPolygon({2: -1}),
+                       RelatedPolygon({1: 3})])
+        with pytest.raises(ClaimViolation) as info:
+            minimal_system(f)
+        assert info.value.claim == "pairwise-minimal" and info.value.family is f
+        # x <= 0 and -x <= -1: weights 1 and 1 sum the normals to 0 and the
+        # offsets to -1.
+        assert info.value.detail == (
+            "minimal halfplanes 0 and 2 are disjoint (Farkas weights [1, 1] on "
+            "[Halfplane(Direction(1, 0), 0), Halfplane(Direction(-1, 0), -1)]); "
+            "family is not pairwise intersecting")
 
     def test_member_order_irrelevant(self, three_translate_family):
         fam = three_translate_family

@@ -26,6 +26,7 @@ from polypierce.family import joint_system
 from polypierce.geometry import (
     _foot_of_perpendicular,
     _plus_vertices,
+    _search_certificate,
     cross,
     plus_empty,
     region_vertices,
@@ -271,6 +272,20 @@ def systems(draw):
     return draw(st.lists(st.builds(Halfplane, st.sampled_from(pool), offsets), max_size=8))
 
 
+def _fraction_tightest(system):
+    """`tightest` before its integer comparison: Direction keys and
+    `Fraction.__lt__`.  The slow reference."""
+    best = {}
+    for h in system:
+        kept = best.get(h.normal)
+        if kept is None:
+            best[h.normal] = h
+        elif h.offset < kept.offset:
+            del best[h.normal]
+            best[h.normal] = h
+    return list(best.values())
+
+
 class TestTightest:
     @settings(max_examples=400, deadline=None)
     @given(systems())
@@ -297,6 +312,25 @@ class TestTightest:
 
     def test_later_winner_moves_behind(self):
         assert tightest([X_LE(5), X_GE(-1), X_LE(2)]) == [X_GE(-1), X_LE(2)]
+
+    def test_equal_offsets_keep_the_first(self):
+        # The offsets are one number written over 2, 4, 6 and as a float;
+        # the integer comparison must see a tie and keep the first object.
+        first, *rest = [X_LE(F(1, 2)), X_LE(F(2, 4)), X_LE("3/6"), X_LE(0.5)]
+        y_first, y_second = Y_GE(F(-2, 6)), Y_GE(F(-1, 3))
+        kept = tightest([first, *rest, y_first, y_second])
+        assert kept[0] is first and kept[1] is y_first
+        assert tightest([*rest, first])[0] is rest[0]
+        # A smaller offset over a larger denominator still wins.
+        assert tightest([X_LE(F(1, 2)), X_LE(F(1, 3))]) == [X_LE(F(1, 3))]
+        assert tightest([Y_GE(F(1, 2)), Y_GE(F(2, 3))]) == [Y_GE(F(2, 3))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    def test_matches_fraction_comparison(self, system):
+        kept, reference = tightest(system), _fraction_tightest(system)
+        assert len(kept) == len(reference)
+        assert all(h is g for h, g in zip(kept, reference))
 
     @pytest.mark.parametrize("class_mode, n", [("general", 5), ("theorem2", 6)])
     def test_minimal_system_matches_per_member_loop(self, class_mode, n):
@@ -339,6 +373,32 @@ def _enumerating_solve(system):
     return min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
 
 
+def _matrix_search_certificate(system):
+    """`_search_certificate` before its inline crosses: a u x u matrix of
+    `cross` calls.  The slow reference for the certificates."""
+    normals = [h.normal for h in system]
+    nums = [h.offset.numerator for h in system]
+    dens = [h.offset.denominator for h in system]
+    for i, j in itertools.combinations(range(len(system)), 2):
+        if (normals[i].a == -normals[j].a and normals[i].b == -normals[j].b
+                and nums[i] * dens[j] + nums[j] * dens[i] < 0):
+            return (system[i], system[j]), (1, 1)
+    crosses = [[cross(d1, d2) for d2 in normals] for d1 in normals]
+    for i, j in itertools.combinations(range(len(system)), 2):
+        wk = crosses[i][j]
+        if wk == 0:
+            continue
+        for k in range(j + 1, len(system)):
+            wi, wj = crosses[j][k], crosses[k][i]
+            if wi * wk > 0 and wj * wk > 0:
+                weights = (abs(wi), abs(wj), abs(wk))
+                if (weights[0] * nums[i] * dens[j] * dens[k]
+                        + weights[1] * nums[j] * dens[i] * dens[k]
+                        + weights[2] * nums[k] * dens[i] * dens[j]) < 0:
+                    return (system[i], system[j], system[k]), weights
+    return None
+
+
 def _certifies(system, certificate) -> bool:
     """Farkas' identity in Fractions: the certificate's halfplanes come from
     `system`, its weights are positive integers, the weighted normals sum to
@@ -365,6 +425,17 @@ class TestPlusEmpty:
         assert (certificate is None) == (_enumerating_solve(system) is not None)
         assert certificate is None or _certifies(system, certificate)
 
+    @settings(max_examples=400, deadline=None)
+    @given(systems())
+    def test_search_matches_cross_matrix_search(self, system):
+        reduced = tightest(system)
+        certificate = _search_certificate(reduced)
+        reference = _matrix_search_certificate(reduced)
+        assert certificate == reference
+        if reference is not None:
+            assert all(h is g for h, g in zip(certificate[0], reference[0]))
+            assert all(type(w) is int for w in certificate[1])
+
     def test_matches_frozen_exactness_cases(self):
         for triple, empty in TRIPLE_EMPTINESS:
             hs = [_hp(c) for c in triple]
@@ -383,6 +454,13 @@ class TestPlusEmpty:
             (X_GE(1), Y_GE(1), SUM_LE(1)), (1, 1, 1))
         # The tightest halfplane per normal carries the certificate.
         assert plus_empty([X_LE(3), X_GE(1), X_LE(0)]) == ((X_GE(1), X_LE(0)), (1, 1))
+        # x <= 0 and y <= 0 meet two empty triples; the first in search
+        # order certifies.
+        two_triples = [X_LE(0), Y_LE(0), Halfplane(Direction(-1, -1), -1),
+                       Halfplane(Direction(-1, -2), -1)]
+        assert plus_empty(two_triples) == (tuple(two_triples[:3]), (1, 1, 1))
+        assert plus_empty(two_triples[:2] + two_triples[3:]) == (
+            (X_LE(0), Y_LE(0), Halfplane(Direction(-1, -2), -1)), (1, 2, 1))
         assert plus_empty([]) is None
         assert plus_empty(UNIT_TRIANGLE) is None
         assert plus_empty([X_GE(0), Y_GE(0), SUM_LE(0)]) is None  # one point

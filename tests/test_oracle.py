@@ -215,6 +215,68 @@ def test_cover_matches_reference_dp(table):
     assert (len(groups), groups) == _reference_cover(feas, m)
 
 
+def _drop_every_member_sweep(m: int, small_feasible) -> list[bool]:
+    """The slow reference: the oracle's Helly sweep before the four-lookup
+    rule, verbatim apart from its kernel call.  A mask of at most 3 members
+    asks `small_feasible`; a larger one is feasible iff every mask that drops
+    one of its members is."""
+    full = (1 << m) - 1
+    feas = [False] * (full + 1)
+    for mask in range(1, full + 1):
+        bits = [i for i in range(m) if mask >> i & 1]
+        if len(bits) <= 3:
+            feas[mask] = small_feasible(bits)
+        else:
+            feas[mask] = all(feas[mask ^ (1 << i)] for i in bits)
+    return feas
+
+
+@st.composite
+def bad_subsets(draw):
+    """(m, bad) for 1-14 members: random pairs and triples of member indices
+    whose joint systems are to read as empty."""
+    m = draw(st.integers(1, 14))
+    bad = []
+    for k, most in ((2, m), (3, 2 * m)):
+        if m >= k:
+            subsets = st.sets(st.integers(0, m - 1), min_size=k, max_size=k)
+            bad += draw(st.lists(subsets, max_size=most))
+    return m, bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_subsets())
+def test_four_lookup_table_matches_drop_every_member_sweep(case):
+    # Member i is the halfplane x + y <= i, so a joint system names its
+    # members by its offsets.  `plus_empty` is patched to call a system empty
+    # iff its members hold a bad pair or triple; the table the oracle hands
+    # `_cover` must equal the sweep's on every mask.
+    m, bad = case
+    t = Template([Direction(1, 1), Direction(-1, 0), Direction(0, -1)], [1, 0, 0])
+    fam = Family(t, [RelatedPolygon({0: i}) for i in range(m)])
+    small_feasible = lambda combo: not any(b <= set(combo) for b in bad)
+    calls, tables = [], []
+
+    def fake_plus_empty(system):
+        calls.append(system)
+        return None if small_feasible([int(h.offset) for h in system]) else "empty"
+
+    def recording_cover(feas, mask, memo):  # also reached by _cover's recursion
+        tables.append(feas)
+        return _cover(feas, mask, memo)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("polypierce.oracle.plus_empty", fake_plus_empty)
+        mp.setattr("polypierce.oracle._cover", recording_cover)
+        res = optimal_piercing(fam)
+    reference = _drop_every_member_sweep(m, small_feasible)
+    assert tables[0] == reference
+    assert len(calls) == sum(comb(m, k) for k in (1, 2, 3))
+    if m <= 10:  # the reference DP takes 3^m steps
+        optimum, groups = _reference_cover(reference, m)
+        assert (res.optimum, res.witness_groups) == (optimum, sorted(groups))
+
+
 def _shifted(fam: Family, step) -> Family:
     """`fam` with member i translated by (i * step, 0)."""
     t = fam.template

@@ -108,10 +108,11 @@ while n_true < 8 or n_false < 8:
     hs = [(rand_dir(), rand_rat()) for _ in range(3)]
     empty = farkas_empty(hs)
     v = vertex_lexmin(hs)
-    if v is None and not all_parallel(hs):
-        assert empty, hs  # independent normals + no feasible vertex => empty
-    if v is not None:
-        assert not empty, hs
+    # Independent normals and no feasible vertex => empty; a vertex => not.
+    if v is None and not all_parallel(hs) and not empty:
+        raise RuntimeError(f"no feasible vertex and no Farkas certificate: {hs}")
+    if v is not None and empty:
+        raise RuntimeError(f"feasible vertex {v} and a Farkas certificate: {hs}")
     if empty and n_true < 8:
         cases_tri.append((hs, True))
         n_true += 1
@@ -126,9 +127,9 @@ while len(cases_feas) < 16:
     if all_parallel(hs):
         continue
     v = vertex_lexmin(hs)
-    if v is None:
-        # cross-check with a Farkas certificate on some subsystem
-        assert farkas_empty(hs), hs
+    # cross-check an empty system with a Farkas certificate on some subsystem
+    if v is None and not farkas_empty(hs):
+        raise RuntimeError(f"no feasible vertex and no Farkas certificate: {hs}")
     cases_feas.append((hs, v))
 
 fmt_r = lambda r: f'"{r}"'
