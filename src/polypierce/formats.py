@@ -11,8 +11,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .family import Family, RelatedPolygon, Template, member_nonempty, validate_template
-from .geometry import Direction, Point
+from .family import Family, RelatedPolygon, Template, validate_template
+from .geometry import Direction, Point, plus_empty
 
 FORMAT_VERSION = 1
 
@@ -87,12 +87,13 @@ def family_from_dict(data: dict) -> Family:
     report = validate_template(template)
     if report:
         raise InvalidInstance("invalid template: " + "; ".join(report))
-    for i, m in enumerate(members):
-        if not member_nonempty(template, m):
+    f = Family(template, members)
+    for i in range(len(members)):
+        if plus_empty(f.member_halfplanes(i)) is not None:
             raise InvalidInstance(f"member {i} is empty")
     if not members:
         raise InvalidInstance("family needs at least one member")
-    return Family(template, members)
+    return f
 
 
 def read_json_object(path: str) -> dict:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenerationExhausted, GenerationInvariant
-from .family import Family, RelatedPolygon, Template, member_nonempty, pairwise_check
-from .geometry import Direction, Point, angle_cmp, canonical_witness
+from .family import Family, RelatedPolygon, Template, pairwise_check
+from .geometry import Direction, Point, angle_cmp, canonical_witness, plus_empty
 from .pierce_special import classify_special
 
 RETRY_LIMIT = 64
@@ -152,7 +152,7 @@ def _draw_member(rng: random.Random, t: Template, cfg: GenConfig) -> RelatedPoly
             for j in rng.sample(sorted(droppable), k):
                 del offsets[j]
         member = RelatedPolygon(offsets)
-        if member_nonempty(t, member):
+        if plus_empty(member.halfplanes(t)) is None:
             return member
     raise GenerationExhausted("member redraw limit hit (spread too large?)")
 
@@ -173,13 +173,14 @@ def _repair(t: Template, members: list[RelatedPolygon]) -> list[RelatedPolygon]:
     anchor = canonical_witness(members[0].halfplanes(t))
     members = list(members)
     for round_no in range(1, RETRY_LIMIT + 1):
-        bad = pairwise_check(Family(t, members))
+        f = Family(t, members)
+        bad = pairwise_check(f)
         if not bad:
             return members
         frac = Fraction(min(round_no, 8), 8)
         moved = {k for pair in bad for k in pair if k != 0}
         for k in sorted(moved):
-            wk = canonical_witness(members[k].halfplanes(t))
+            wk = canonical_witness(f.member_halfplanes(k))
             members[k] = _translate_member(t, members[k], (anchor - wk).scale(frac))
     raise GenerationExhausted("translate repair did not converge")
 

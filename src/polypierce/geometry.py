@@ -12,11 +12,12 @@ one a certificate: positive integer weights under which the normals sum to 0
 and the offsets to a negative number.  `plus_empty` checks that identity
 before it answers "empty".  `tightest` is the one owner of the rule that a
 plus-intersection depends only on the tightest halfplane per normal:
-`plus_empty` searches its output, the witness (`_solve`) enumerates on it, and
-`family.minimal_system` reads its entries from it.  `_plus_vertices` is the
-one place that enumerates meets of boundary lines, and it is reached only for
-points: the witness of a nonempty system, the region's vertices
-(`region_vertices`) and, through them, template validation and SVG clipping.
+`plus_empty` searches its output, the witness (`_solve`) searches and
+enumerates on it, and `family.minimal_system` reads its entries from it.
+`_plus_vertices` is the one place that enumerates meets of boundary lines, and
+it is reached only for points: the witness of a nonempty system, the region's
+vertices (`region_vertices`) and, through them, template validation and SVG
+clipping.
 `contains` is the one plus-side containment predicate.
 
 The witness depends only on the region, except in a strip (all normals
@@ -205,10 +206,14 @@ def tightest(system: Sequence[Halfplane]) -> list[Halfplane]:
 Certificate = tuple[tuple[Halfplane, ...], tuple[int, ...]]
 
 
-def _check_certificate(halfplanes: Sequence[Halfplane], weights: Sequence[int]) -> None:
-    """Farkas' identity for an empty plus-intersection: every weight is a
-    positive integer, the weighted normals sum to 0 and the weighted offsets
-    to a negative number.  A plain check, so it runs under `python -O`."""
+def _check_certificate(certificate: Optional[Certificate]) -> Optional[Certificate]:
+    """The search's answer, once a certificate in it passes Farkas' identity
+    for an empty plus-intersection: every weight is a positive integer, the
+    weighted normals sum to 0 and the weighted offsets to a negative number.
+    A plain check, so it runs under `python -O`."""
+    if certificate is None:
+        return None
+    halfplanes, weights = certificate
     lcm = math.lcm(*(h.offset.denominator for h in halfplanes))
     if not (len(weights) == len(halfplanes) > 0
             and all(isinstance(w, int) and w > 0 for w in weights)
@@ -219,6 +224,7 @@ def _check_certificate(halfplanes: Sequence[Halfplane], weights: Sequence[int]) 
         raise ClaimViolation(
             "farkas-certificate",
             f"weights {list(weights)} do not certify {list(halfplanes)} empty")
+    return certificate
 
 
 def _search_certificate(system: Sequence[Halfplane]) -> Optional[Certificate]:
@@ -265,17 +271,15 @@ def plus_empty(system: Sequence[Halfplane]) -> Optional[Certificate]:
     some pair or triple is, so after `tightest` only antiparallel pairs and
     triples of pairwise non-parallel normals are searched.
     """
-    certificate = _search_certificate(tightest(system))
-    if certificate is not None:
-        _check_certificate(*certificate)
-    return certificate
+    return _check_certificate(_search_certificate(tightest(system)))
 
 
 def _solve(system: Sequence[Halfplane]) -> Optional[Point]:
     """Deterministic witness of the plus-side intersection, or None if empty.
 
-    The system is reduced by `tightest` first, which leaves the region and
-    its vertices unchanged, and `plus_empty` decides whether it is empty.
+    The system is reduced by `tightest` once, which leaves the region and
+    its vertices unchanged, and `plus_empty`'s checked search decides on it
+    whether it is empty.
     When the region has a vertex the witness is its lexicographically
     smallest one (min x, then min y).  Vertex-free nonempty regions only
     occur when all normals are parallel; those fall back to the point
@@ -283,7 +287,7 @@ def _solve(system: Sequence[Halfplane]) -> Optional[Point]:
     goes to the earlier of the two tightest lines.
     """
     system = tightest(system)
-    if plus_empty(system) is not None:
+    if _check_certificate(_search_certificate(system)) is not None:
         return None
     if not system:
         return Point(0, 0)

@@ -2,18 +2,18 @@
 
 A set of members is 1-pierceable iff their joint halfplane system is
 feasible, so the minimum piercing number is a minimum partition of the
-member set into feasible subsets (feasibility is hereditary).  Each member's
-halfplanes are built once, and a mask of at most 3 members asks `plus_empty`
-about their joint system.  A larger mask is feasible iff the four masks that
-drop one of its four lowest members are, and the increasing sweep over masks
-has decided those: by Helly's theorem in the plane an infeasible mask holds an
-infeasible set of at most 3 members, and one of any four members lies outside
-that set, so dropping it leaves an infeasible mask.  The partition of a
-feasible mask is the mask.  That of an infeasible one is the first feasible
-submask in decreasing order that holds its lowest member and leaves a rest
-with the fewest groups, then the rest's partition (what a cover table over
-all masks that keeps strict improvements only picks).  An infeasible mask
-needs two groups or more, so the first submask whose rest is feasible wins.
+member set into feasible subsets (feasibility is hereditary).  A mask of at
+most 3 members asks `plus_empty` about their joint system.  A larger mask is
+feasible iff the four masks that drop one of its four lowest members are, and
+the increasing sweep over masks has decided those: by Helly's theorem in the
+plane an infeasible mask holds an infeasible set of at most 3 members, and one
+of any four members lies outside that set, so dropping it leaves an infeasible
+mask.  The partition of a feasible mask is the mask.  That of an infeasible
+one is the first feasible submask in decreasing order that holds its lowest
+member and leaves a rest with the fewest groups, then the rest's partition
+(what a cover table over all masks that keeps strict improvements only
+picks).  An infeasible mask needs two groups or more, so the first submask
+whose rest is feasible wins.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import AuditFailure, TooLarge
 from .family import Family, joint_system
-from .geometry import Point, canonical_witness, plus_empty
+from .geometry import Point, canonical_witness, contains, plus_empty
 
 
 @dataclass
@@ -40,8 +40,8 @@ class OracleResult:
 
 
 def verify_piercing(f: Family, points: list[Point]) -> VerificationReport:
-    unpierced = [i for i, member in enumerate(f.members)
-                 if not any(member.contains(f.template, p) for p in points)]
+    unpierced = [i for i in range(len(f.members))
+                 if not any(contains(f.member_halfplanes(i), p) for p in points)]
     return VerificationReport(ok=not unpierced, unpierced=unpierced)
 
 
@@ -66,13 +66,11 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
     if m > member_limit:
         raise TooLarge(f"{m} members exceeds oracle limit {member_limit}")
 
-    systems = [f.member_halfplanes(i) for i in range(m)]
     full = (1 << m) - 1
     feas = [False] * (full + 1)
     for k in (1, 2, 3):
         for combo in combinations(range(m), k):
-            system = [h for i in combo for h in systems[i]]
-            feas[sum(1 << i for i in combo)] = plus_empty(system) is None
+            feas[sum(1 << i for i in combo)] = plus_empty(joint_system(f, combo)) is None
     for mask in range(1, full + 1):
         if mask.bit_count() > 3:
             # a, b, c, d: the bits of the mask's four lowest members.

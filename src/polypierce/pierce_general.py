@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ClaimViolation
-from .family import Family, RelatedPolygon, minimal_system
+from .family import Family, minimal_system
 from .geometry import Halfplane, Point, canonical_witness, contains
 from .triangles import EmptyTriangle, enumerate_empty_triangles
 
@@ -39,20 +39,11 @@ class PiercingResult:
     bound: int
 
 
-def restricted_hull(f: Family, member: RelatedPolygon, dirs) -> list[Halfplane]:
-    """The member's hull restricted to `dirs`: its halfplanes with those directions."""
-    return [f.template.halfplane(j, c) for j, c in member.offsets.items() if j in dirs]
-
-
-def restricted_hull_contains(
-    family: Family, member: RelatedPolygon, dirs: tuple[int, int, int], p: Point
-) -> bool:
-    """Containment in the member's hull restricted to the directions `dirs`.
-
-    Directions the member does not use impose no constraint, so this is
-    vacuously true for members using none of them.
-    """
-    return contains(restricted_hull(family, member, dirs), p)
+def restricted_hull(f: Family, i: int, dirs) -> list[Halfplane]:
+    """Member i's hull restricted to `dirs`: its halfplanes with those
+    directions.  Directions the member does not use impose no constraint, so
+    a member using none of them has the whole plane as its hull."""
+    return [h for j, h in zip(f.members[i].offsets, f.member_halfplanes(i)) if j in dirs]
 
 
 def _point_indices(points: list[Point], new_points) -> list[int]:
@@ -73,8 +64,8 @@ def _finish(f: Family, points, assignment, trace: TraceNode, n0: int, bound: int
         raise ClaimViolation(
             "point-bound", f"emitted {len(points)} points, above {bound_text}", family=f
         )
-    for i, member in enumerate(f.members):
-        if not member.contains(f.template, points[assignment[i]]):
+    for i in range(len(f.members)):
+        if not contains(f.member_halfplanes(i), points[assignment[i]]):
             raise ClaimViolation(
                 "soundness", f"member {i} does not contain its assigned point", family=f
             )
@@ -95,9 +86,9 @@ def partition_by_midpoints(
         member_ids = list(range(len(f.members)))
     buckets: tuple[list[int], list[int], list[int]] = ([], [], [])
     for i in member_ids:
-        member = f.members[i]
+        hull = restricted_hull(f, i, e.dirs)
         for t in range(3):
-            if restricted_hull_contains(f, member, e.dirs, e.midpoints[t]):
+            if contains(hull, e.midpoints[t]):
                 buckets[t].append(i)
                 break
         else:

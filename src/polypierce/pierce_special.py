@@ -16,12 +16,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ClaimViolation, NotSpecialClass
-from .family import Family, RelatedPolygon, minimal_system
+from .family import Family, minimal_system
 from .geometry import (
     Direction,
     Halfplane,
     Point,
     canonical_witness,
+    contains,
     line_intersect,
 )
 from .pierce_general import PiercingResult, TraceNode, _finish, _point_indices, restricted_hull
@@ -75,15 +76,13 @@ def classify_special(t) -> Optional[SpecialForm]:
     )
 
 
-def teo_check(
-    f: Family, member: RelatedPolygon, medial_vertices, dirs: tuple[int, int, int]
-) -> bool:
-    """At most one of the member's boundary lines with a direction in `dirs`
+def teo_check(f: Family, i: int, medial_vertices, dirs: tuple[int, int, int]) -> bool:
+    """At most one of member i's boundary lines with a direction in `dirs`
     cuts the closed medial triangle: meets it and leaves a vertex strictly on
     its minus side.  A line along an edge of the triangle, with the rest on
     its plus side, cuts nothing off: the member may hold all three midpoints."""
     hits = 0
-    for h in restricted_hull(f, member, dirs):
+    for h in restricted_hull(f, i, dirs):
         vals = [h.value(v) for v in medial_vertices]
         if min(vals) <= 0 < max(vals):
             hits += 1
@@ -93,11 +92,8 @@ def teo_check(
 def _assign_and_remove(f, remaining, points, new_idxs, assignment):
     still = []
     for i in remaining:
-        hit = None
-        for idx in new_idxs:
-            if f.members[i].contains(f.template, points[idx]):
-                hit = idx
-                break
+        hit = next((idx for idx in new_idxs
+                    if contains(f.member_halfplanes(i), points[idx])), None)
         if hit is None:
             still.append(i)
         else:
@@ -166,7 +162,7 @@ def pierce_special(f: Family) -> PiercingResult:
             node.chosen_type = dirs
 
             for i in remaining:
-                if not teo_check(f, f.members[i], e.midpoints, dirs):
+                if not teo_check(f, i, e.midpoints, dirs):
                     raise ClaimViolation(
                         "two-edges-outside",
                         f"member {i} has two boundary lines meeting the medial triangle",

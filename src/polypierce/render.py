@@ -131,7 +131,7 @@ def render_svg(f: Family, points: Optional[list[Point]] = None) -> str:
     canvas = _Canvas(xmin, ymin, xmax, ymax)
 
     for i in range(len(f.members)):
-        verts = _display_order(region_vertices(f.member_halfplanes(i) + box))
+        verts = _display_order(region_vertices([*f.member_halfplanes(i), *box]))
         fill = _FILLS[i % len(_FILLS)]
         canvas.polygon(verts, fill, "0.25", fill)
 

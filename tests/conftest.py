@@ -4,8 +4,10 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
-from polypierce import Direction, Family, Point, RelatedPolygon, Template
+from polypierce import (Direction, Family, GenConfig, Point, RelatedPolygon, Template,
+                        random_template)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -56,6 +58,25 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+# Generated templates of both classes, n = 3-6.
+TEMPLATES = [random_template(GenConfig(seed=seed, n=n, class_mode=class_mode))
+             for seed, n, class_mode in [(0, 3, "general"), (1, 4, "general"),
+                                         (2, 5, "general"), (0, 4, "theorem2"),
+                                         (1, 6, "theorem2")]]
+
+
+@st.composite
+def families(draw) -> Family:
+    """1-4 members on one of `TEMPLATES`, each with a random nonempty set of
+    directions and small rational offsets; members may be empty or unbounded."""
+    t = draw(st.sampled_from(TEMPLATES))
+    offsets = st.dictionaries(st.integers(0, t.n - 1),
+                              st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                              min_size=1)
+    return Family(t, [RelatedPolygon(o) for o in draw(st.lists(offsets, min_size=1,
+                                                                 max_size=4))])
 
 
 @pytest.fixture

@@ -5,22 +5,28 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 import polypierce
 from polypierce import (
     ClaimViolation,
     Direction,
     Family,
+    Halfplane,
     Point,
     RelatedPolygon,
     Template,
     contains,
+    enumerate_empty_triangles,
     feasible,
     minimal_system,
     pairwise_check,
+    pierce_general,
     validate_template,
+    verify_piercing,
 )
-from conftest import translate_of
+from polypierce.pierce_general import partition_by_midpoints
+from conftest import families, planted_family, translate_of
 
 
 class TestValidateTemplate:
@@ -84,6 +90,37 @@ class TestRelatedPolygon:
         m = RelatedPolygon({2: F(0)})  # only y >= 0
         assert m.contains(unit_triangle, Point(100, 5))
         assert not m.contains(unit_triangle, Point(0, -1))
+
+
+class TestMemberHalfplanes:
+    @settings(max_examples=200, deadline=None)
+    @given(families())
+    def test_stored_halfplanes_are_the_members_as_tuples(self, fam):
+        for i, member in enumerate(fam.members):
+            stored = fam.member_halfplanes(i)
+            assert isinstance(stored, tuple)
+            assert stored == tuple(member.halfplanes(fam.template))
+            assert fam.member_halfplanes(i) is stored
+
+    def test_member_questions_build_no_halfplane_after_first_read(self, monkeypatch):
+        fam = planted_family(3, "general", 5, 8)
+        # Points and a triangle come from a copy, which leaves `fam` unread.
+        copy = Family(fam.template, fam.members)
+        points = pierce_general(copy).points
+        triangle = enumerate_empty_triangles(minimal_system(copy))[0]
+        fam.member_halfplanes(0)
+        built = []
+        init = Halfplane.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Halfplane, "__init__", counted)
+        assert verify_piercing(fam, points).ok
+        assert pairwise_check(fam) == []
+        partition_by_midpoints(fam, triangle)
+        assert built == []
 
 
 class TestPairwiseCheck:

@@ -356,6 +356,13 @@ class TestTightest:
             feasible(system)
             assert len(meets) <= u * (u - 1) // 2
 
+    def test_witness_reduces_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "geometry", "tightest")
+        for system in ([], [X_LE(2), X_GE(-3)], [X_GE(1), X_LE(0)], UNIT_TRIANGLE):
+            calls.clear()
+            feasible(system)
+            assert len(calls) == 1
+
 
 def _enumerating_solve(system):
     """The kernel before `plus_empty`: it decided emptiness by enumerating

@@ -1,45 +1,62 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polypierce import (
     Family,
     GenConfig,
     Point,
     RelatedPolygon,
+    contains,
     enumerate_empty_triangles,
     generate,
     minimal_system,
     pierce_general,
     verify_piercing,
 )
-from polypierce.pierce_general import partition_by_midpoints, restricted_hull_contains
-from conftest import count_calls, planted_family, translate_of
+from polypierce.pierce_general import partition_by_midpoints, restricted_hull
+from conftest import count_calls, families, planted_family, translate_of
+
+
+def _template_built_hull(f, member, dirs):
+    """The restricted hull rebuilt from the template, as before the family
+    stored its members' halfplanes: the reference."""
+    return [f.template.halfplane(j, c) for j, c in member.offsets.items() if j in dirs]
 
 
 class TestRestrictedHull:
     def test_full_triangle_equals_member(self, three_translate_family):
         fam = three_translate_family
         t = (0, 1, 2)
-        assert restricted_hull_contains(fam, fam.members[0], t, Point(F(1, 2), F(1, 2)))
-        assert not restricted_hull_contains(fam, fam.members[0], t, Point(1, 1))
+        assert contains(restricted_hull(fam, 0, t), Point(F(1, 2), F(1, 2)))
+        assert not contains(restricted_hull(fam, 0, t), Point(1, 1))
 
     def test_single_constraint_member(self, unit_triangle):
         fam = Family(unit_triangle, [RelatedPolygon({2: 0})])  # y >= 0 only
         t = (0, 1, 2)
-        assert restricted_hull_contains(fam, fam.members[0], t, Point(100, 5))
+        assert contains(restricted_hull(fam, 0, t), Point(100, 5))
 
     def test_vacuous_when_member_uses_no_dirs(self, unit_triangle):
         fam = Family(unit_triangle, [RelatedPolygon({0: 1})])
         t = (1, 2, 3)  # indices the member does not use
-        assert restricted_hull_contains(fam, fam.members[0], t, Point(999, 999))
+        assert contains(restricted_hull(fam, 0, t), Point(999, 999))
 
     def test_shifted_member_derived_points(self, three_translate_family):
         # member translated by (3/5, 0): x >= 3/5, y >= 0, x+y <= 8/5
         fam = three_translate_family
         t = (0, 1, 2)
-        assert restricted_hull_contains(fam, fam.members[1], t, Point(F(3, 5), F(1, 2)))
-        assert not restricted_hull_contains(fam, fam.members[1], t, Point(F(1, 2), F(3, 5)))
+        assert contains(restricted_hull(fam, 1, t), Point(F(3, 5), F(1, 2)))
+        assert not contains(restricted_hull(fam, 1, t), Point(F(1, 2), F(3, 5)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(families(), st.data())
+    def test_equals_template_built_hull(self, fam, data):
+        i = data.draw(st.integers(0, len(fam.members) - 1))
+        # Triples may name a direction the template lacks, as in the test above.
+        dirs = tuple(sorted(data.draw(st.lists(st.integers(0, fam.template.n),
+                                               min_size=3, max_size=3, unique=True))))
+        assert restricted_hull(fam, i, dirs) == _template_built_hull(fam, fam.members[i], dirs)
 
 
 class TestPartition:

@@ -55,8 +55,8 @@ class TestTeoCheck:
         f = special_three_translate
         verts = (Point(F(-1, 2), F(3, 5)), Point(F(-3, 5), F(1, 2)),
                  Point(F(-1, 2), F(1, 2)))
-        for m in f.members:
-            assert teo_check(f, m, verts, (0, 1, 2))
+        for i in range(len(f.members)):
+            assert teo_check(f, i, verts, (0, 1, 2))
 
     def test_lines_along_medial_edges_cut_nothing(self):
         # Four members of a planted theorem2 n = 4 family.  Member 3's x- and
@@ -75,9 +75,9 @@ class TestTeoCheck:
         midpoints = [Point(F(-205, 112), F(5, 4)), Point(F(-15, 16), F(5, 4)),
                      Point(F(-15, 16), F(5, 2))]
         assert all(f.members[3].contains(t, p) for p in midpoints)
-        assert teo_check(f, f.members[3], midpoints, (0, 2, 3))
+        assert teo_check(f, 3, midpoints, (0, 2, 3))
         cutting = RelatedPolygon({0: -1, 3: -2})  # x <= -1, y >= 2: no midpoint
-        assert not teo_check(f, cutting, midpoints, (0, 2, 3))
+        assert not teo_check(Family(t, [cutting]), 0, midpoints, (0, 2, 3))
         res = pierce_special(f)
         assert sorted(res.points, key=lambda p: (p.x, p.y)) == midpoints
         assert verify_piercing(f, res.points).ok
