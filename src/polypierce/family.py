@@ -6,8 +6,8 @@ A related polygon is a member built from translates of some of the template's
 halfplanes, stored as a map from direction index to offset.  Members may omit
 directions, so they can be unbounded.
 
-A `Family` owns its members' halfplanes: built on its first member-level
-question, and read as the same tuples by every later one.
+A `Family` owns its members' halfplanes, built once on first use.  A node of
+either piercing recursion is a list of member indices of one family.
 """
 
 from __future__ import annotations
@@ -166,9 +166,10 @@ def pairwise_check(f: Family) -> list[tuple[int, int]]:
             if plus_empty(joint_system(f, pair)) is not None]
 
 
-def minimal_system(f: Family) -> MinimalSystem:
+def minimal_system(f: Family, ids=None) -> MinimalSystem:
+    """The minimal system of the members `ids` of `f`, all when omitted."""
     index = {d: j for j, d in enumerate(f.template.normals)}
-    joint = joint_system(f, range(len(f.members)))
+    joint = joint_system(f, range(len(f.members)) if ids is None else ids)
     entries = {index[h.normal]: h for h in tightest(joint)}
     # Consequence of pairwise intersection: any two minimal plus sides meet.
     for a, b in combinations(sorted(entries), 2):
@@ -180,7 +181,7 @@ def minimal_system(f: Family) -> MinimalSystem:
                 f"minimal halfplanes {a} and {b} are disjoint "
                 f"(Farkas weights {list(weights)} on {list(halfplanes)}); "
                 "family is not pairwise intersecting",
-                family=f,
+                family=f if ids is None else f.subfamily(ids),
             )
     return MinimalSystem(entries=entries)
 

@@ -163,8 +163,9 @@ def _translate_member(t: Template, member: RelatedPolygon, v: Point) -> RelatedP
     )
 
 
-def _repair(t: Template, members: list[RelatedPolygon]) -> list[RelatedPolygon]:
-    """Translate members of disjoint pairs toward a fixed anchor witness.
+def _repair(t: Template, members: list[RelatedPolygon]) -> Family:
+    """Translate members of disjoint pairs toward a fixed anchor witness, and
+    return the pairwise-intersecting family the last round checked.
 
     Step fractions grow to 1, so every still-offending member eventually
     lands on the anchor point; two members containing the anchor intersect,
@@ -176,7 +177,7 @@ def _repair(t: Template, members: list[RelatedPolygon]) -> list[RelatedPolygon]:
         f = Family(t, members)
         bad = pairwise_check(f)
         if not bad:
-            return members
+            return f
         frac = Fraction(min(round_no, 8), 8)
         moved = {k for pair in bad for k in pair if k != 0}
         for k in sorted(moved):
@@ -190,8 +191,7 @@ def random_family(t: Template, cfg: GenConfig) -> Family:
     for _ in range(RETRY_LIMIT):
         members = [_draw_member(rng, t, cfg) for _ in range(cfg.members)]
         if cfg.repair == "translate_repair":
-            members = _repair(t, members)
-            return Family(t, members)
+            return _repair(t, members)
         fam = Family(t, members)
         if not pairwise_check(fam):
             return fam

@@ -3,8 +3,9 @@
 The recursion picks an empty triangle, splits the family by which edge
 midpoint each member's restricted hull contains, and recurses per bucket;
 a bucket with no empty triangles is one-pierceable and yields its canonical
-Helly witness.  Every step the argument relies on is a runtime guard that
-raises ClaimViolation with the offending family attached.
+Helly witness.  A node is a list of member indices of the one family passed
+in.  Every step the argument relies on is a runtime guard that raises
+ClaimViolation with the offending family attached.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 from .errors import ClaimViolation
 from .family import Family, minimal_system
 from .geometry import Halfplane, Point, canonical_witness, contains
-from .triangles import EmptyTriangle, enumerate_empty_triangles
+from .triangles import EmptyTriangle, _build_triangle, empty_types
 
 
 @dataclass
@@ -102,35 +103,33 @@ def partition_by_midpoints(
 
 
 def _recurse(f: Family, member_ids: list[int], parent_types, points, assignment):
-    """The trace node of `member_ids` and the empty triples of its minimal
-    system, after piercing its members into `points` and `assignment`."""
+    """The trace node of `member_ids`, member indices of `f`, and the empty
+    triples of its minimal system, after piercing its members into `points`
+    and `assignment`.  Only the triangle the node splits on is built."""
     node = TraceNode(members=list(member_ids))
-    sub = f.subfamily(member_ids)
-    ms = minimal_system(sub)
-    triangles = enumerate_empty_triangles(ms)
-    types_here = {tr.dirs for tr in triangles}
+    ms = minimal_system(f, member_ids)
+    types_here = empty_types(ms)
     if parent_types is not None and not types_here < parent_types:
         raise ClaimViolation(
             "type-elimination",
             f"child empty-triangle types {sorted(types_here)} are not a strict "
             f"subset of the parent's {sorted(parent_types)}",
-            family=sub,
+            family=f.subfamily(member_ids),
         )
-    if not triangles:
+    if not types_here:
         w = canonical_witness(ms.halfplanes())
         (idx,) = _point_indices(points, [w])
         for i in member_ids:
             assignment[i] = idx
         node.leaf_witness = w
         return node, types_here
-    chosen = triangles[0]  # lexicographically smallest direction triple
+    chosen = _build_triangle(ms, min(types_here))  # lexicographically smallest triple
     node.chosen_type = chosen.dirs
     buckets = partition_by_midpoints(f, chosen, member_ids)
     node.bucket_sizes = tuple(len(b) for b in buckets)
     for b in buckets:
-        if not b:
-            continue
-        node.children.append(_recurse(f, b, types_here, points, assignment)[0])
+        if b:
+            node.children.append(_recurse(f, b, types_here, points, assignment)[0])
     return node, types_here
 
 

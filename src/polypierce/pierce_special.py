@@ -4,9 +4,10 @@ vertical right edge, all remaining edges of positive slope.
 The loop repeatedly targets the empty triangle built on the smallest-slope
 direction, emits its three edge midpoints (plus one auxiliary vertex in the
 harder case), removes every member pierced so far, and re-derives the minimal
-system.  For n = 3 there is one slope direction, hence one direction triple
-and no Case 2: members coincide with their restricted hulls, so the loop's
-first round pierces every member and the bound is 3.
+system.  A round's node is the member indices of `f` it starts with.  For
+n = 3 there is one slope direction, hence one direction triple and no Case 2:
+members coincide with their restricted hulls, so the loop's first round
+pierces every member and the bound is 3.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def _assign_and_remove(f, remaining, points, new_idxs, assignment):
     return still
 
 
-def _check_triples(f: Family, sf: SpecialForm, types) -> list[int]:
-    """Empty triples must all be of shape (h, v, slope); return the slope
-    indices involved, in ascending-slope order."""
+def _check_triples(f: Family, ids, sf: SpecialForm, types) -> list[int]:
+    """Empty triples of the members `ids` of `f` must all be of shape
+    (h, v, slope); return the slope indices involved, in ascending-slope order."""
     hit = set()
     for dirs in types:
         rest = set(dirs) - {sf.h_index, sf.v_index}
@@ -112,7 +113,7 @@ def _check_triples(f: Family, sf: SpecialForm, types) -> list[int]:
                 "hv-triple-shape",
                 f"empty direction triple {dirs} does not contain both the "
                 "horizontal and the vertical direction",
-                family=f,
+                family=f.subfamily(ids),
             )
         hit.add(rest.pop())
     return [j for j, _ in sf.slope_indices if j in hit]
@@ -134,15 +135,14 @@ def pierce_special(f: Family) -> PiercingResult:
     handled: set[int] = set()
     # Each round's minimal system and empty triples are derived once: here for
     # the whole family, then at the end of a round for the members it left.
-    sub = f
-    ms = minimal_system(sub)
+    ms = minimal_system(f)
     types = empty_types(ms)
     n0 = len(types)
 
     while remaining:
-        candidates = _check_triples(sub, sf, types)
         node = TraceNode(members=list(remaining))
         trace.children.append(node)
+        candidates = _check_triples(f, node.members, sf, types)
         if not candidates:
             node.leaf_witness = canonical_witness(ms.halfplanes())
             new_points = [node.leaf_witness]
@@ -152,7 +152,7 @@ def pierce_special(f: Family) -> PiercingResult:
                 raise ClaimViolation(
                     "slope-progress",
                     f"slope direction {s} produced an empty triple twice",
-                    family=sub,
+                    family=f.subfamily(node.members),
                 )
             handled.add(s)
             dirs = tuple(sorted((sf.h_index, sf.v_index, s)))
@@ -166,7 +166,7 @@ def pierce_special(f: Family) -> PiercingResult:
                     raise ClaimViolation(
                         "two-edges-outside",
                         f"member {i} has two boundary lines meeting the medial triangle",
-                        family=sub,
+                        family=f.subfamily(node.members),
                     )
 
             others = [j for j, _ in sf.slope_indices if j != s and j in ms.entries]
@@ -193,7 +193,7 @@ def pierce_special(f: Family) -> PiercingResult:
                     raise ClaimViolation(
                         "case2-x-on-line",
                         f"auxiliary vertex X is off the boundary line of direction {s}",
-                        family=sub,
+                        family=f.subfamily(node.members),
                     )
                 node.notes["case2"] = {"chosen_i": chosen_i, "X": X}
                 new_points = [m_h, m_v, m_s, X]
@@ -212,22 +212,21 @@ def pierce_special(f: Family) -> PiercingResult:
             raise ClaimViolation(
                 "helly-leaf",
                 "members remained unpierced after the common-point leaf",
-                family=sub,
+                family=f.subfamily(node.members),
             )
-        sub = f.subfamily(remaining)
-        ms = minimal_system(sub)
+        ms = minimal_system(f, remaining)
         next_types = empty_types(ms)
         if dirs in next_types:
             raise ClaimViolation(
                 "triangle-elimination",
                 f"triple {dirs} is still empty after piercing its midpoints",
-                family=sub,
+                family=f.subfamily(remaining),
             )
         if len(next_types) >= len(types):
             raise ClaimViolation(
                 "triangle-count-progress",
                 f"empty-triple count did not decrease ({len(types)} -> {len(next_types)})",
-                family=sub,
+                family=f.subfamily(remaining),
             )
         types = next_types
 

@@ -48,15 +48,20 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
     """Rebind `name` in the module `polypierce.<module>` to a wrapper that
     records one entry per call.  (The package namespace binds some module
     names to functions, so the module is looked up by its full name.)"""
-    module = importlib.import_module(f"polypierce.{module}")
+    return count_calls_on(monkeypatch, importlib.import_module(f"polypierce.{module}"), name)
+
+
+def count_calls_on(monkeypatch, owner, name: str) -> list:
+    """Rebind attribute `name` of `owner` (a module or a class) to a wrapper
+    that records one entry per call."""
     calls = []
-    original = getattr(module, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 

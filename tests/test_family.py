@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import polypierce
 from polypierce import (
@@ -193,6 +193,27 @@ class TestMinimalSystem:
             "minimal halfplanes 0 and 2 are disjoint (Farkas weights [1, 1] on "
             "[Halfplane(Direction(1, 0), 0), Halfplane(Direction(-1, 0), -1)]); "
             "family is not pairwise intersecting")
+
+    @settings(max_examples=300, deadline=None)
+    @given(families(), st.data())
+    def test_member_indices_match_subfamily(self, fam, data):
+        # A node's minimal system, read from the family's stored halfplanes,
+        # is the one its subfamily would build, in the same key order.  (No
+        # template here has antiparallel normals, so none can raise.)
+        ids = data.draw(st.lists(st.integers(0, len(fam.members) - 1), unique=True))
+        assert (list(minimal_system(fam, ids).entries.items())
+                == list(minimal_system(fam.subfamily(ids)).entries.items()))
+
+    def test_disjoint_pair_of_a_node_carries_its_subfamily(self):
+        t = Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0),
+                      Direction(0, -1)], [1, 1, 1, 1])
+        f = Family(t, [RelatedPolygon({1: 3}), RelatedPolygon({2: -1}),
+                       RelatedPolygon({0: 0})])
+        assert minimal_system(f, [0, 1]).dirs() == [1, 2]
+        with pytest.raises(ClaimViolation) as info:
+            minimal_system(f, [2, 1])
+        assert info.value.claim == "pairwise-minimal"
+        assert info.value.family == f.subfamily([2, 1])
 
     def test_member_order_irrelevant(self, three_translate_family):
         fam = three_translate_family

@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polypierce import (
+    ClaimViolation,
     Family,
     GenConfig,
     Point,
@@ -13,10 +15,11 @@ from polypierce import (
     generate,
     minimal_system,
     pierce_general,
+    pierce_special,
     verify_piercing,
 )
 from polypierce.pierce_general import partition_by_midpoints, restricted_hull
-from conftest import count_calls, families, planted_family, translate_of
+from conftest import count_calls, count_calls_on, families, planted_family, translate_of
 
 
 def _template_built_hull(f, member, dirs):
@@ -151,3 +154,51 @@ class TestPierceGeneral:
             nodes.extend(node.children)
         assert res.initial_type_count >= 1 and len(nodes) > 1
         assert len(calls) == len(nodes)
+
+    def test_type_elimination_carries_the_node(self, monkeypatch):
+        # The root splits as usual; its first non-leaf child (8 of 12 members)
+        # hands all its members to one bucket, whose types are then the
+        # child's own.  The claim carries that grandchild's members.
+        fam = planted_family(2, "general", 5, 12)
+        module = sys.modules["polypierce.pierce_general"]
+        original = module.partition_by_midpoints
+        seen = []
+
+        def partition(f, e, member_ids):
+            seen.append(member_ids)
+            if len(seen) == 1:
+                return original(f, e, member_ids)
+            return list(member_ids), [], []
+
+        monkeypatch.setattr(module, "partition_by_midpoints", partition)
+        with pytest.raises(ClaimViolation) as info:
+            pierce_general(fam)
+        assert info.value.claim == "type-elimination"
+        assert len(seen) == 2 and len(seen[1]) == 8
+        assert info.value.family == fam.subfamily(seen[1])
+
+
+# Planted theorem2 n = 6 families on which pierce_special takes two rounds.
+@pytest.mark.parametrize("pierce", [pierce_general, pierce_special])
+@pytest.mark.parametrize("seed", [1, 6, 9, 11, 12, 13])
+def test_nodes_are_member_indices(pierce, seed, monkeypatch):
+    # Every node reads the halfplanes of the one family passed in: no
+    # subfamily is built, and each member's halfplanes are built once.
+    fam = planted_family(seed, "theorem2", 6, 12)
+    subfamilies = count_calls_on(monkeypatch, Family, "subfamily")
+    halfplanes = count_calls_on(monkeypatch, RelatedPolygon, "halfplanes")
+    res = pierce(fam)
+    assert subfamilies == [] and len(halfplanes) == len(fam.members)
+    assert len(res.trace.children) >= 2
+
+
+@pytest.mark.parametrize("class_mode, n", [("general", 5), ("theorem2", 6)])
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_one_triangle_per_split(class_mode, n, seed, monkeypatch):
+    # The recursion builds only the triangle each node splits on.
+    fam = planted_family(seed, class_mode, n, 12)
+    triangles = count_calls(monkeypatch, "pierce_general", "_build_triangle")
+    nodes = [pierce_general(fam).trace]
+    for node in nodes:
+        nodes.extend(node.children)
+    assert len(triangles) == sum(1 for node in nodes if node.chosen_type) >= 1

@@ -197,3 +197,108 @@ class TestPierceSpecialLarger:
             pierce_special(fam)
         assert info.value.claim == claim
         assert info.value.family == fam.subfamily(second.members)
+
+
+def _wrap(monkeypatch, name: str, make):
+    """Rebind `name` in pierce_special to `make(original)`."""
+    module = sys.modules["polypierce.pierce_special"]
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+
+
+class TestRoundClaimsCarryTheRound:
+    """Each claim a round checks carries the members that round started with,
+    as a family.  A planted theorem2 n = 6 family whose first round pierces
+    5 of its 12 members and whose second is the common-point leaf; each test
+    forces one claim to fail."""
+
+    @pytest.fixture
+    def rounds(self):
+        fam = planted_family(1, "theorem2", 6, 12)
+        first, second = pierce_special(fam).trace.children
+        assert 1 < len(second.members) < len(first.members) == 12
+        assert first.notes["case2"] and second.leaf_witness is not None
+        return fam, first, second
+
+    def _raises(self, fam, claim, members):
+        with pytest.raises(ClaimViolation) as info:
+            pierce_special(fam)
+        assert info.value.claim == claim
+        assert info.value.family == fam.subfamily(members)
+
+    def test_helly_leaf(self, rounds, monkeypatch):
+        # The leaf's point pierces only the first of its members: the claim
+        # carries the round's members, not the ones it left.
+        fam, _, second = rounds
+
+        def make(original):
+            def leave_rest(f, remaining, points, new_idxs, assignment):
+                still = original(f, remaining, points, new_idxs, assignment)
+                return remaining[1:] if len(new_idxs) == 1 else still
+            return leave_rest
+
+        _wrap(monkeypatch, "_assign_and_remove", make)
+        self._raises(fam, "helly-leaf", second.members)
+
+    def _second_round_candidates(self, monkeypatch, candidates):
+        """The second round's slope candidates become `candidates(first)`,
+        where `first` is the first round's list."""
+        def make(original):
+            seen = []
+
+            def check_triples(*args):
+                seen.append(original(*args))
+                return candidates(seen[0]) if len(seen) == 2 else seen[-1]
+            return check_triples
+
+        _wrap(monkeypatch, "_check_triples", make)
+
+    def test_slope_progress(self, rounds, monkeypatch):
+        fam, _, second = rounds
+        self._second_round_candidates(monkeypatch, lambda first: first)
+        self._raises(fam, "slope-progress", second.members)
+
+    def test_two_edges_outside(self, rounds, monkeypatch):
+        # The second round targets the next slope, and a member there fails
+        # the two-edges check on its triangle.
+        fam, first, second = rounds
+        self._second_round_candidates(monkeypatch, lambda first: first[1:])
+
+        def make(original):
+            def teo_check(f, i, verts, dirs):
+                return dirs == first.chosen_type and original(f, i, verts, dirs)
+            return teo_check
+
+        _wrap(monkeypatch, "teo_check", make)
+        self._raises(fam, "two-edges-outside", second.members)
+
+    def test_hv_triple_shape(self, rounds, monkeypatch):
+        # After the first round, one empty triple of three slope directions.
+        fam, _, second = rounds
+        slopes = [j for j, _ in classify_special(fam.template).slope_indices]
+        bad = tuple(sorted(slopes[:3]))
+
+        def make(original):
+            calls = []
+
+            def empty_types(ms):
+                calls.append(ms)
+                return {bad} if len(calls) == 2 else original(ms)
+            return empty_types
+
+        _wrap(monkeypatch, "empty_types", make)
+        self._raises(fam, "hv-triple-shape", second.members)
+
+    def test_case2_x_on_line(self, rounds, monkeypatch):
+        # The first round's X is the meet of a vertical line with line s;
+        # moving it up takes it off that line.
+        fam, first, _ = rounds
+        right = Direction(1, 0)
+
+        def make(original):
+            def line_intersect(a, b):
+                p = original(a, b)
+                return Point(p.x, p.y + 1) if a.normal == right else p
+            return line_intersect
+
+        _wrap(monkeypatch, "line_intersect", make)
+        self._raises(fam, "case2-x-on-line", first.members)

@@ -31,7 +31,8 @@ Python 3.11):
 
 To show that a change leaves every output byte-identical, run it once with
 `PYTHONPATH` pointed at the parent commit's `src/` and once at the change's;
-the digests must be equal.
+the digests must be equal.  `tests/test_corpus_digest.py` runs `build` in the
+test suite and pins the digest.
 """
 
 from __future__ import annotations
