@@ -149,7 +149,7 @@ def validate_template(t: Template) -> list[str]:
     system = t.reference_halfplanes()
     verts = region_vertices(system)
     for i, h in enumerate(system):
-        if sum(1 for v in verts if h.on_boundary(v)) < 2:
+        if sum(1 for v in verts if h.side(v) == 0) < 2:
             report.append(f"halfplane {i} does not support an edge of positive length")
     return report
 

@@ -102,7 +102,7 @@ def read_json_object(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidInstance(f"cannot read {path}: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidInstance(f"{path}: expected a JSON object, got {type(data).__name__}")

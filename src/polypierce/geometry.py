@@ -18,7 +18,9 @@ enumerates on it, and `family.minimal_system` reads its entries from it.
 it is reached only for points: the witness of a nonempty system, the region's
 vertices (`region_vertices`) and, through them, template validation and SVG
 clipping.
-`contains` is the one plus-side containment predicate.
+`Halfplane.side` is the one sign predicate, decided in integers: `contains`
+(the one plus-side containment predicate) and every on-line or minus-side
+check ask it.  `Fraction`s are built only for coordinates a caller keeps.
 
 The witness depends only on the region, except in a strip (all normals
 parallel), where the tie goes to the earlier of the two tightest lines.
@@ -122,19 +124,14 @@ class Halfplane:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", _frac(offset))
 
-    def value(self, p: Point) -> Fraction:
-        """normal . p - offset; <= 0 on the plus side, >= 0 on the minus side."""
-        return self.normal.dot(p) - self.offset
-
-    def plus_contains(self, p: Point) -> bool:
-        # value(p) <= 0 with the positive denominators cleared: integer work
-        # only, since this is the innermost test of every kernel call.
+    def side(self, p: Point) -> int:
+        """Sign of normal . p - offset: -1 strictly on the plus side, 0 on the
+        line, 1 strictly on the minus side.  Integer work only, the positive
+        denominators cleared: this is the innermost test of every kernel call."""
         n, x, y, c = self.normal, p.x, p.y, self.offset
         lhs = n.a * x.numerator * y.denominator + n.b * y.numerator * x.denominator
-        return lhs * c.denominator <= c.numerator * x.denominator * y.denominator
-
-    def on_boundary(self, p: Point) -> bool:
-        return self.value(p) == 0
+        diff = lhs * c.denominator - c.numerator * x.denominator * y.denominator
+        return (diff > 0) - (diff < 0)
 
     def __repr__(self):
         return f"Halfplane({self.normal!r}, {self.offset})"
@@ -145,23 +142,25 @@ def line_intersect(h1: Halfplane, h2: Halfplane) -> Optional[Point]:
     d = cross(h1.normal, h2.normal)
     if d == 0:
         return None
-    a1, b1, c1 = h1.normal.a, h1.normal.b, h1.offset
-    a2, b2, c2 = h2.normal.a, h2.normal.b, h2.offset
-    x = Fraction(c1 * b2 - c2 * b1, d)
-    y = Fraction(a1 * c2 - a2 * c1, d)
-    return Point(x, y)
+    # Cramer's rule on the offsets' integer numerators and denominators.
+    a1, b1, p1, q1 = h1.normal.a, h1.normal.b, h1.offset.numerator, h1.offset.denominator
+    a2, b2, p2, q2 = h2.normal.a, h2.normal.b, h2.offset.numerator, h2.offset.denominator
+    den = d * q1 * q2
+    return Point(Fraction(p1 * q2 * b2 - p2 * q1 * b1, den),
+                 Fraction(a1 * p2 * q1 - a2 * p1 * q2, den))
 
 
 def contains(halfplanes: Iterable[Halfplane], p: Point) -> bool:
     """Closed containment in the intersection of the plus sides."""
-    return all(h.plus_contains(p) for h in halfplanes)
+    return all(h.side(p) <= 0 for h in halfplanes)
 
 
 def _foot_of_perpendicular(h: Halfplane) -> Point:
     """Point of h's boundary line nearest the origin (always rational)."""
     a, b, c = h.normal.a, h.normal.b, h.offset
     n2 = a * a + b * b
-    return Point(Fraction(a, 1) * c / n2, Fraction(b, 1) * c / n2)
+    return Point(Fraction(a * c.numerator, n2 * c.denominator),
+                 Fraction(b * c.numerator, n2 * c.denominator))
 
 
 def _plus_vertices(system: Sequence[Halfplane]) -> list[Point]:

@@ -84,8 +84,8 @@ def teo_check(f: Family, i: int, medial_vertices, dirs: tuple[int, int, int]) ->
     its plus side, cuts nothing off: the member may hold all three midpoints."""
     hits = 0
     for h in restricted_hull(f, i, dirs):
-        vals = [h.value(v) for v in medial_vertices]
-        if min(vals) <= 0 < max(vals):
+        signs = [h.side(v) for v in medial_vertices]
+        if min(signs) <= 0 < max(signs):
             hits += 1
     return hits <= 1
 
@@ -170,7 +170,7 @@ def pierce_special(f: Family) -> PiercingResult:
                     )
 
             others = [j for j, _ in sf.slope_indices if j != s and j in ms.entries]
-            strict_minus = [j for j in others if ms.entries[j].value(m_s) > 0]
+            strict_minus = [j for j in others if ms.entries[j].side(m_s) > 0]
             if not strict_minus:
                 new_points = [m_h, m_v, m_s]  # Case 1
             else:
@@ -189,7 +189,7 @@ def pierce_special(f: Family) -> PiercingResult:
                     X = m_s
                 else:
                     X = line_intersect(Halfplane(_RIGHT, P_i.x), ms.entries[s])
-                if not ms.entries[s].on_boundary(X):
+                if ms.entries[s].side(X) != 0:
                     raise ClaimViolation(
                         "case2-x-on-line",
                         f"auxiliary vertex X is off the boundary line of direction {s}",

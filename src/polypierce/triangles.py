@@ -34,9 +34,9 @@ def _build_triangle(ms: MinimalSystem, dirs: tuple[int, int, int]) -> EmptyTrian
             f"direction triple {dirs} has parallel minimal boundary lines"
         )
     # Plus-emptiness rules out concurrent lines (a shared point would be in
-    # every closed plus side), so the triangle has positive area.
-    area2 = (v13.x - v12.x) * (v23.y - v12.y) - (v13.y - v12.y) * (v23.x - v12.x)
-    if area2 == 0:
+    # every closed plus side), so the triangle has positive area: for three
+    # pairwise non-parallel lines, zero area means e3 passes through v12.
+    if e3.side(v12) == 0:
         raise ClaimViolation(
             "triangle-area", f"direction triple {dirs} has concurrent minimal boundary lines"
         )
@@ -45,7 +45,7 @@ def _build_triangle(ms: MinimalSystem, dirs: tuple[int, int, int]) -> EmptyTrian
     vertices = (v23, v13, v12)
     midpoints = (midpoint(v12, v13), midpoint(v12, v23), midpoint(v13, v23))
     for t in range(3):
-        if not sides[t].on_boundary(midpoints[t]):
+        if sides[t].side(midpoints[t]) != 0:
             raise ClaimViolation(
                 "triangle-midpoint", f"midpoint {t} of triple {dirs} is off its side"
             )

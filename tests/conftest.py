@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from polypierce import (Direction, Family, GenConfig, Point, RelatedPolygon, Template,
-                        random_template)
+                        feasible, random_template)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -82,6 +82,30 @@ def families(draw) -> Family:
                               min_size=1)
     return Family(t, [RelatedPolygon(o) for o in draw(st.lists(offsets, min_size=1,
                                                                  max_size=4))])
+
+
+# Templates with antiparallel normals: the axis box, and a hexagon with three
+# antiparallel pairs.
+ANTIPARALLEL_TEMPLATES = [
+    Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0), Direction(0, -1)],
+             [1, 1, 1, 1]),
+    Template([Direction(1, 0), Direction(1, 1), Direction(0, 1), Direction(-1, 0),
+              Direction(-1, -1), Direction(0, -1)], [1, 1, 1, 1, 1, 1]),
+]
+
+
+@st.composite
+def antiparallel_families(draw) -> Family:
+    """1-4 members on one of `ANTIPARALLEL_TEMPLATES`, drawn as in `families()`
+    but nonempty, as `load_family` requires.  Two members' opposite halfplanes
+    can be disjoint, so `minimal_system` can fail its pairwise check."""
+    t = draw(st.sampled_from(ANTIPARALLEL_TEMPLATES))
+    offsets = st.dictionaries(st.integers(0, t.n - 1),
+                              st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                              min_size=1)
+    members = st.builds(RelatedPolygon, offsets).filter(
+        lambda m: feasible(m.halfplanes(t)) is not None)
+    return Family(t, draw(st.lists(members, min_size=1, max_size=4)))
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from polypierce import (
     verify_piercing,
 )
 from polypierce.pierce_general import partition_by_midpoints
-from conftest import families, planted_family, translate_of
+from conftest import antiparallel_families, families, planted_family, translate_of
 
 
 class TestValidateTemplate:
@@ -203,6 +203,23 @@ class TestMinimalSystem:
         ids = data.draw(st.lists(st.integers(0, len(fam.members) - 1), unique=True))
         assert (list(minimal_system(fam, ids).entries.items())
                 == list(minimal_system(fam.subfamily(ids)).entries.items()))
+
+    def test_disjoint_minimal_pair_means_a_disjoint_member_pair(self):
+        # Counted over a derandomized draw, so the count is fixed: 43 of the
+        # 200 families raise.
+        raised = []
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(antiparallel_families())
+        def draw(fam):
+            try:
+                minimal_system(fam)
+            except ClaimViolation as exc:
+                assert exc.claim == "pairwise-minimal" and pairwise_check(fam)
+                raised.append(fam)
+
+        draw()
+        assert len(raised) >= 20
 
     def test_disjoint_pair_of_a_node_carries_its_subfamily(self):
         t = Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0),

@@ -228,6 +228,10 @@ class TestCli:
             ("check {missing}", None),
             ("check {bad}", "[1, 2]"),
             ("check {bad}", "{bad"),
+            # Nesting deeper than the parser's recursion limit.
+            ("check {bad}", "[" * 100_000),
+            ("verify {bad} --points {inst}", "[" * 100_000),
+            ("verify {inst} --points {bad}", "[" * 100_000),
             ("verify {inst} --points {bad}", '{"points": [["1/0", "0"]]}'),
             ("verify {inst} --points {bad}", '{"points": [["0", "0", "0"]]}'),
             ("verify {inst} --points {missing}", None),
@@ -258,7 +262,8 @@ class TestCli:
             ("exact {inst} --out {nodir}.json", None),
             ("render {inst} --svg {nodir}.svg", None),
         ],
-        ids=["missing-file", "not-an-object", "bad-json", "points-bad-rational",
+        ids=["missing-file", "not-an-object", "bad-json", "deep-json", "verify-deep-json",
+             "points-deep-json", "points-bad-rational",
              "points-three-coordinates", "points-missing-file", "render-points-bad-rational",
              "normal-string", "reference-offsets-string", "point-string",
              "member-offsets-array", "generate-spread-not-rational",

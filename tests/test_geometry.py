@@ -43,6 +43,31 @@ SUM_LE = lambda c: Halfplane(Direction(1, 1), F(c))   # x + y <= c
 
 UNIT_TRIANGLE = [Y_GE(0), X_GE(0), SUM_LE(1)]
 
+RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@st.composite
+def halfplanes(draw) -> Halfplane:
+    """Any primitive normal with entries in [-9, 9] and a rational offset."""
+    ab = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any))
+    return Halfplane(Direction(*ab), draw(RATIONALS))
+
+
+def _fraction_sign(h: Halfplane, p: Point) -> int:
+    """The Fraction reference for `Halfplane.side`."""
+    v = h.normal.dot(p) - h.offset
+    return (v > 0) - (v < 0)
+
+
+def _fraction_cramer(h1: Halfplane, h2: Halfplane):
+    """Cramer's rule in Fraction arithmetic: the reference for `line_intersect`."""
+    d = cross(h1.normal, h2.normal)
+    if d == 0:
+        return None
+    a1, b1, c1 = h1.normal.a, h1.normal.b, h1.offset
+    a2, b2, c2 = h2.normal.a, h2.normal.b, h2.offset
+    return Point(F(c1 * b2 - c2 * b1, d), F(a1 * c2 - a2 * c1, d))
+
 
 def test_direction_primitive_and_nonzero():
     assert Direction(2, 4) == Direction(1, 2)
@@ -53,17 +78,17 @@ def test_direction_primitive_and_nonzero():
 
 def test_halfplane_sides_share_boundary():
     h = SUM_LE(1)
-    on = Point(F(1, 2), F(1, 2))
-    assert h.plus_contains(on) and h.value(on) >= 0 and h.on_boundary(on)
-    assert h.plus_contains(Point(0, 0)) and h.value(Point(0, 0)) < 0
+    assert h.side(Point(F(1, 2), F(1, 2))) == 0
+    assert h.side(Point(0, 0)) == -1
+    assert h.side(Point(1, 1)) == 1
 
 
 def test_smaller_offset_nests_plus_side():
     tight, loose = X_LE(F(1, 3)), X_LE(2)
     for p in [Point(0, 0), Point(F(1, 3), 5), Point(-7, F(2, 9))]:
-        if tight.plus_contains(p):
-            assert loose.plus_contains(p)
-    assert loose.plus_contains(Point(1, 0)) and not tight.plus_contains(Point(1, 0))
+        if tight.side(p) <= 0:
+            assert loose.side(p) <= 0
+    assert loose.side(Point(1, 0)) == -1 and tight.side(Point(1, 0)) == 1
 
 
 class TestLineIntersect:
@@ -91,7 +116,12 @@ class TestLineIntersect:
             )
             p = line_intersect(h1, h2)
             if p is not None:
-                assert h1.on_boundary(p) and h2.on_boundary(p)
+                assert h1.side(p) == 0 and h2.side(p) == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(halfplanes(), halfplanes())
+    def test_matches_fraction_cramer(self, h1, h2):
+        assert line_intersect(h1, h2) == _fraction_cramer(h1, h2)
 
 
 class TestTriplePlusEmpty:
@@ -225,20 +255,16 @@ class TestContains:
     def test_vertex(self):
         assert contains(UNIT_TRIANGLE, Point(0, 0))
 
-    def test_plus_contains_matches_value(self):
-        # plus_contains decides in integers; value() is the Fraction reference.
-        rng = random.Random(7)
-
-        def rat():
-            return F(rng.randint(-60, 60), rng.randint(1, 12))
-
-        on_boundary = 0
-        for _ in range(4000):
-            h = Halfplane(Direction(rng.randint(-5, 5), rng.choice([-3, -1, 1, 2])), rat())
-            for p in (Point(rat(), rat()), _foot_of_perpendicular(h)):
-                on_boundary += h.value(p) == 0
-                assert h.plus_contains(p) == (h.value(p) <= 0)
-        assert on_boundary >= 4000
+    @settings(max_examples=400, deadline=None)
+    @given(halfplanes(), RATIONALS, RATIONALS, RATIONALS)
+    def test_side_matches_fraction_sign(self, h, x, y, t):
+        # An arbitrary point, the foot of the perpendicular and a point t
+        # along the line from it: the last two lie on the line.
+        foot = _foot_of_perpendicular(h)
+        along = Point(foot.x - t * h.normal.b, foot.y + t * h.normal.a)
+        assert _fraction_sign(h, foot) == _fraction_sign(h, along) == 0
+        for p in (Point(x, y), foot, along):
+            assert h.side(p) == _fraction_sign(h, p)
 
 
 def _unmerged_solve(system):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from polypierce import (
+    ClaimViolation,
     DegenerateTriple,
     Direction,
     Family,
@@ -11,8 +12,10 @@ from polypierce import (
     Point,
     RelatedPolygon,
     enumerate_empty_triangles,
+    line_intersect,
     minimal_system,
 )
+from polypierce import triangles
 from polypierce.triangles import empty_types
 from conftest import planted_family, translate_of
 
@@ -45,7 +48,7 @@ class TestEnumerate:
                 # vertex t is opposite side t; the other two sides pass through it
                 for u in range(3):
                     if u != t:
-                        assert ms.entries[tri.dirs[u]].on_boundary(tri.vertices[t])
+                        assert ms.entries[tri.dirs[u]].side(tri.vertices[t]) == 0
 
     def test_degenerate_parallel_pair(self):
         # Hand-built minimal system with an empty triple containing two
@@ -71,6 +74,28 @@ class TestEnumerate:
             nonempty += bool(dirs)
         assert nonempty >= 3
 
+    def test_concurrent_lines_violate_triangle_area(self, three_translate_family,
+                                                    monkeypatch):
+        # Make all three boundary lines meet in one point: the meet of the
+        # first and last, which lies on the third line.  Plus-emptiness rules
+        # this out, so only a patched construction reaches the claim.
+        ms = minimal_system(three_translate_family)
+        e1, _, e3 = (ms.entries[j] for j in (0, 1, 2))
+        meet = line_intersect(e1, e3)
+        monkeypatch.setattr(triangles, "line_intersect", lambda h1, h2: meet)
+        with pytest.raises(ClaimViolation) as info:
+            enumerate_empty_triangles(ms)
+        assert info.value.claim == "triangle-area"
+
+    def test_midpoint_off_its_side_violates_triangle_midpoint(
+            self, three_translate_family, monkeypatch):
+        # The origin lies on none of the lines y = 3/5, x = 3/5, x + y = 1.
+        ms = minimal_system(three_translate_family)
+        monkeypatch.setattr(triangles, "midpoint", lambda p, q: Point(0, 0))
+        with pytest.raises(ClaimViolation) as info:
+            enumerate_empty_triangles(ms)
+        assert info.value.claim == "triangle-midpoint"
+
     def test_count_bounded_by_triples(self, three_translate_family):
         ms = minimal_system(three_translate_family)
         n = three_translate_family.template.n
@@ -84,7 +109,7 @@ class TestMidpointStructure:
         by_line = {}
         for t in range(3):
             side = ms.entries[tri.dirs[t]]
-            assert side.on_boundary(tri.midpoints[t])
+            assert side.side(tri.midpoints[t]) == 0
             by_line[side.normal] = tri.midpoints[t]
         assert by_line[Direction(0, -1)] == Point(F(1, 2), F(3, 5))  # on y = 3/5
         assert by_line[Direction(-1, 0)] == Point(F(3, 5), F(1, 2))  # on x = 3/5
@@ -96,4 +121,4 @@ class TestMidpointStructure:
         for t in range(3):
             for u in range(3):
                 if u != t:
-                    assert ms.entries[tri.dirs[u]].value(tri.midpoints[t]) > 0
+                    assert ms.entries[tri.dirs[u]].side(tri.midpoints[t]) == 1
