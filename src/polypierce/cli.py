@@ -14,7 +14,6 @@ import csv
 import functools
 import sys
 import time
-from fractions import Fraction
 
 from .errors import ClaimViolation, GenerationExhausted, NotSpecialClass, TooLarge
 from .family import minimal_system, pairwise_check
@@ -25,6 +24,7 @@ from .formats import (
     load_family,
     load_points,
     oracle_result_to_dict,
+    parse_rational,
     result_to_dict,
     save_json,
     write_text,
@@ -72,7 +72,7 @@ def _write_cex(exc: ClaimViolation, anchor: str) -> None:
 def _gen_config(args, seed: int) -> GenConfig:
     try:
         return GenConfig(seed=seed, n=args.n, members=args.members,
-                         spread=Fraction(args.spread),
+                         spread=parse_rational(args.spread),
                          class_mode=getattr(args, "class"), repair=args.repair)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInstance(f"bad generation flags: {exc}") from None

@@ -21,8 +21,12 @@ class InvalidInstance(ValueError):
     pass
 
 
-def _rat(s) -> Fraction:
+def parse_rational(s) -> Fraction:
+    """`s` as a Fraction.  A string in exponent notation is refused, since
+    `Fraction` would expand its power of ten in full."""
     try:
+        if isinstance(s, str) and "e" in s.lower():
+            raise ValueError("exponent notation is not accepted")
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInstance(f"bad rational {s!r}: {exc}") from None
@@ -64,7 +68,7 @@ def family_from_dict(data: dict) -> Family:
         if any(math.gcd(a, b) > 1 for a, b in pairs):
             raise InvalidInstance(f"normals must be primitive (gcd 1), got {pairs!r}")
         normals = [Direction(a, b) for a, b in pairs]
-        offsets = [_rat(c) for c in
+        offsets = [parse_rational(c) for c in
                    _array(tmpl["reference_offsets"], "reference_offsets")]
         template = Template(normals, offsets)
         members = []
@@ -75,7 +79,7 @@ def family_from_dict(data: dict) -> Family:
                 j = int(j)
                 if not 0 <= j < template.n:
                     raise InvalidInstance(f"direction index {j} out of range")
-                c = _rat(c)
+                c = parse_rational(c)
                 # Duplicate translates collapse to the tightest offset.
                 if j not in parsed or c < parsed[j]:
                     parsed[j] = c
@@ -125,7 +129,7 @@ def points_to_list(points) -> list[list[str]]:
 def points_from_list(data) -> list[Point]:
     try:
         pairs = [_array(p, "point", 2) for p in _array(data, "points")]
-        return [Point(_rat(x), _rat(y)) for x, y in pairs]
+        return [Point(parse_rational(x), parse_rational(y)) for x, y in pairs]
     except InvalidInstance:
         raise
     except (TypeError, ValueError) as exc:

@@ -12,15 +12,15 @@ one a certificate: positive integer weights under which the normals sum to 0
 and the offsets to a negative number.  `plus_empty` checks that identity
 before it answers "empty".  `tightest` is the one owner of the rule that a
 plus-intersection depends only on the tightest halfplane per normal:
-`plus_empty` searches its output, the witness (`_solve`) searches and
-enumerates on it, and `family.minimal_system` reads its entries from it.
-`_plus_vertices` is the one place that enumerates meets of boundary lines, and
-it is reached only for points: the witness of a nonempty system, the region's
-vertices (`region_vertices`) and, through them, template validation and SVG
-clipping.
-`Halfplane.side` is the one sign predicate, decided in integers: `contains`
-(the one plus-side containment predicate) and every on-line or minus-side
-check ask it.  `Fraction`s are built only for coordinates a caller keeps.
+`plus_empty` searches its output, the witness (`_solve`) enumerates on it,
+and `family.minimal_system` reads its entries from it.
+Two integer signs decide the rest.  `Halfplane.side` is the one sign
+predicate on points: `contains` (the one plus-side containment predicate),
+every on-line or minus-side check and the check of every witness ask it.
+`_farkas` is the one sign on line triples: it decides both a triple's
+emptiness and whether the meet of two lines is on a third's plus side, so
+`_plus_vertices` (witnesses, `region_vertices`) builds a `Point` only for a
+vertex.
 
 The witness depends only on the region, except in a strip (all normals
 parallel), where the tie goes to the earlier of the two tightest lines.
@@ -143,8 +143,7 @@ def line_intersect(h1: Halfplane, h2: Halfplane) -> Optional[Point]:
     if d == 0:
         return None
     # Cramer's rule on the offsets' integer numerators and denominators.
-    a1, b1, p1, q1 = h1.normal.a, h1.normal.b, h1.offset.numerator, h1.offset.denominator
-    a2, b2, p2, q2 = h2.normal.a, h2.normal.b, h2.offset.numerator, h2.offset.denominator
+    (a1, b1, p1, q1), (a2, b2, p2, q2) = _row(h1), _row(h2)
     den = d * q1 * q2
     return Point(Fraction(p1 * q2 * b2 - p2 * q1 * b1, den),
                  Fraction(a1 * p2 * q1 - a2 * p1 * q2, den))
@@ -156,25 +155,44 @@ def contains(halfplanes: Iterable[Halfplane], p: Point) -> bool:
 
 
 def _foot_of_perpendicular(h: Halfplane) -> Point:
-    """Point of h's boundary line nearest the origin (always rational)."""
-    a, b, c = h.normal.a, h.normal.b, h.offset
-    n2 = a * a + b * b
-    return Point(Fraction(a * c.numerator, n2 * c.denominator),
-                 Fraction(b * c.numerator, n2 * c.denominator))
+    """Point of h's boundary line nearest the origin: its meet with the
+    perpendicular line through the origin."""
+    return line_intersect(h, Halfplane(Direction(-h.normal.b, h.normal.a), 0))
+
+
+def _row(h: Halfplane) -> tuple[int, int, int, int]:
+    """The integers (a, b, p, q) of h: a x + b y <= p / q with q > 0."""
+    return h.normal.a, h.normal.b, h.offset.numerator, h.offset.denominator
+
+
+def _farkas(r1, r2, r3) -> tuple[int, int, int, int]:
+    """Farkas' sum over three lines given as rows (see `_row`): the weights
+    w1 = cross(n2, n3), w2 = cross(n3, n1), w3 = cross(n1, n2), under which
+    the normals sum to 0 (if no two are parallel, the only such weights up to
+    scale), and S, the weighted offsets' sum times q1 q2 q3.
+
+    So three pairwise non-parallel plus sides meet nowhere iff the weights
+    share a sign s and s S < 0.  Where w3 != 0 the meet v of lines 1 and 2
+    has n3 . v - c3 = -S / (w3 q1 q2 q3): v is in plus side 3 iff S w3 >= 0.
+    """
+    (a1, b1, p1, q1), (a2, b2, p2, q2), (a3, b3, p3, q3) = r1, r2, r3
+    w1, w2, w3 = a2 * b3 - b2 * a3, a3 * b1 - b3 * a1, a1 * b2 - b1 * a2
+    return w1, w2, w3, w1 * p1 * q2 * q3 + w2 * p2 * q1 * q3 + w3 * p3 * q1 * q2
 
 
 def _plus_vertices(system: Sequence[Halfplane]) -> list[Point]:
     """Every meet of two boundary lines that lies in all plus sides.
 
     Pairs are taken in index order (i < j); a point where more than two
-    boundary lines meet appears once per pair.
+    boundary lines meet appears once per pair.  Each meet is placed by
+    `_farkas` against every line, and a `Point` is built only for a vertex.
     """
+    rows = [_row(h) for h in system]
     out = []
-    for i in range(len(system)):
-        for j in range(i + 1, len(system)):
-            p = line_intersect(system[i], system[j])
-            if p is not None and contains(system, p):
-                out.append(p)
+    for i, j in combinations(range(len(rows)), 2):
+        if cross(system[i].normal, system[j].normal) != 0 and all(
+                s * w3 >= 0 for _, _, w3, s in (_farkas(rows[i], rows[j], r) for r in rows)):
+            out.append(line_intersect(system[i], system[j]))
     return out
 
 
@@ -231,34 +249,18 @@ def _search_certificate(system: Sequence[Halfplane]) -> Optional[Certificate]:
     pairwise non-parallel normals, with its Farkas weights; None if neither.
 
     `system` has one halfplane per normal.  A pair d, -d is empty iff its
-    offsets sum below 0.  Three pairwise non-parallel normals satisfy
-    cross(n2, n3) n1 + cross(n3, n1) n2 + cross(n1, n2) n3 = 0, and these are
-    their only weights with zero sum up to scale; the triple is empty iff the
-    three weights share a sign and, made positive, weight the offsets to a
-    negative sum.  A triple holding a parallel pair is empty iff that pair is.
-    Offset sums are signed in integers, with the denominators multiplied out.
+    offsets sum below 0; `_farkas` tests a triple, and one holding a
+    parallel pair is empty iff that pair is.
     """
-    normals = [(h.normal.a, h.normal.b) for h in system]
-    nums = [h.offset.numerator for h in system]
-    dens = [h.offset.denominator for h in system]
-    for i, j in combinations(range(len(system)), 2):
-        if (normals[i][0] == -normals[j][0] and normals[i][1] == -normals[j][1]
-                and nums[i] * dens[j] + nums[j] * dens[i] < 0):
+    rows = [_row(h) for h in system]
+    for i, j in combinations(range(len(rows)), 2):
+        (ai, bi, pi, qi), (aj, bj, pj, qj) = rows[i], rows[j]
+        if ai == -aj and bi == -bj and pi * qj + pj * qi < 0:
             return (system[i], system[j]), (1, 1)
-    for i, j in combinations(range(len(system)), 2):
-        (ai, bi), (aj, bj) = normals[i], normals[j]
-        wk = ai * bj - bi * aj
-        if wk == 0:
-            continue
-        for k in range(j + 1, len(system)):
-            ak, bk = normals[k]
-            wi, wj = aj * bk - bj * ak, ak * bi - bk * ai
-            if wi * wk > 0 and wj * wk > 0:
-                weights = (abs(wi), abs(wj), abs(wk))
-                if (weights[0] * nums[i] * dens[j] * dens[k]
-                        + weights[1] * nums[j] * dens[i] * dens[k]
-                        + weights[2] * nums[k] * dens[i] * dens[j]) < 0:
-                    return (system[i], system[j], system[k]), weights
+    for i, j, k in combinations(range(len(rows)), 3):
+        w1, w2, w3, s = _farkas(rows[i], rows[j], rows[k])
+        if w1 * w3 > 0 and w2 * w3 > 0 and s * w3 < 0:
+            return (system[i], system[j], system[k]), (abs(w1), abs(w2), abs(w3))
     return None
 
 
@@ -276,32 +278,29 @@ def plus_empty(system: Sequence[Halfplane]) -> Optional[Certificate]:
 def _solve(system: Sequence[Halfplane]) -> Optional[Point]:
     """Deterministic witness of the plus-side intersection, or None if empty.
 
-    The system is reduced by `tightest` once, which leaves the region and
-    its vertices unchanged, and `plus_empty`'s checked search decides on it
-    whether it is empty.
-    When the region has a vertex the witness is its lexicographically
-    smallest one (min x, then min y).  Vertex-free nonempty regions only
-    occur when all normals are parallel; those fall back to the point
-    nearest the origin on the first remaining line, so in a strip the tie
-    goes to the earlier of the two tightest lines.
+    On the system reduced once by `tightest` (same region, same vertices)
+    the witness is the lexicographically smallest vertex (min x, then min
+    y).  Only a region with no vertex asks `plus_empty`'s checked search; if
+    it is nonempty all its normals are parallel, and the witness is the point
+    nearest the origin on the first line, so in a strip the tie goes to the
+    earlier of the two tightest lines.  `contains` checks every witness.
     """
     system = tightest(system)
-    if _check_certificate(_search_certificate(system)) is not None:
-        return None
-    if not system:
-        return Point(0, 0)
-    first = system[0]
-    if len(system) == 1 or (len(system) == 2 and cross(first.normal, system[1].normal) == 0):
-        return _foot_of_perpendicular(first)
-    # At most two of the distinct normals are parallel, so some pair is
-    # independent: a nonempty region has a vertex, and every vertex is the
-    # meet of two boundary lines.
     witness = min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
     if witness is None:
+        if _check_certificate(_search_certificate(system)) is not None:
+            return None
+        # Two non-parallel normals in a nonempty region make a vertex.
+        if any(cross(system[0].normal, h.normal) != 0 for h in system):
+            raise ClaimViolation(
+                "kernel-agreement",
+                f"no vertex in the plus-intersection of {system}, "
+                "which plus_empty found nonempty")
+        witness = _foot_of_perpendicular(system[0]) if system else Point(0, 0)
+    if not contains(system, witness):
         raise ClaimViolation(
             "kernel-agreement",
-            f"no vertex in the plus-intersection of {system}, "
-            "which plus_empty found nonempty")
+            f"witness {witness} is outside the plus-intersection of {system}")
     return witness
 
 

@@ -241,6 +241,10 @@ class TestCli:
             ("check {bad}", _unit_instance(offsets="100")),
             ("verify {inst} --points {bad}", '{"points": ["12"]}'),
             ("check {bad}", _unit_instance(member=["1"])),
+            # Exponent notation: Fraction would expand 1e5000000000 in full.
+            ("check {bad}", _unit_instance(member={"0": "1e1000", "1": "0", "2": "0"})),
+            ("verify {inst} --points {bad}", '{"points": [["1e1000", "0"]]}'),
+            ("generate --seed 1 --spread 1e1000 --out {bad}", None),
             ("generate --seed 1 --spread abc --out {bad}", None),
             ("generate --seed 1 --spread 1/0 --out {bad}", None),
             ("generate --seed 1 --spread -1 --out {bad}", None),
@@ -266,7 +270,8 @@ class TestCli:
              "points-deep-json", "points-bad-rational",
              "points-three-coordinates", "points-missing-file", "render-points-bad-rational",
              "normal-string", "reference-offsets-string", "point-string",
-             "member-offsets-array", "generate-spread-not-rational",
+             "member-offsets-array", "offset-exponent", "points-exponent",
+             "generate-spread-exponent", "generate-spread-not-rational",
              "generate-spread-zero-denominator", "generate-spread-negative", "generate-n-2",
              "generate-members-0", "bench-n-2", "bench-spread-zero-denominator",
              "normal-float", "normal-bool", "normal-strings", "version-bool",

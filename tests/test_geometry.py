@@ -24,8 +24,10 @@ from polypierce import (
 )
 from polypierce.family import joint_system
 from polypierce.geometry import (
+    _farkas,
     _foot_of_perpendicular,
     _plus_vertices,
+    _row,
     _search_certificate,
     cross,
     plus_empty,
@@ -46,11 +48,31 @@ UNIT_TRIANGLE = [Y_GE(0), X_GE(0), SUM_LE(1)]
 RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 
 
+DIRECTIONS = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any).map(
+    lambda ab: Direction(*ab))
+
+
 @st.composite
 def halfplanes(draw) -> Halfplane:
     """Any primitive normal with entries in [-9, 9] and a rational offset."""
-    ab = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any))
-    return Halfplane(Direction(*ab), draw(RATIONALS))
+    return Halfplane(draw(DIRECTIONS), draw(RATIONALS))
+
+
+@st.composite
+def concurrent_systems(draw):
+    """3-8 halfplanes with offsets over denominators up to 10^6: three lines
+    through one point v, up to two lines antiparallel to those, and up to
+    three more.  Each line but the three is shifted from v by a rational
+    that is mostly nonnegative, so v is often a vertex of a nonempty region
+    and more often a meet of two lines outside it."""
+    x, y = draw(RATIONALS), draw(RATIONALS)
+    shift = st.fractions(min_value=-1, max_value=10**6, max_denominator=10**6)
+    through = draw(st.lists(DIRECTIONS, min_size=3, max_size=3))
+    normals = [d.neg() for d in draw(st.lists(st.sampled_from(through), max_size=2))]
+    normals += draw(st.lists(DIRECTIONS, max_size=3))
+    system = [Halfplane(d, d.a * x + d.b * y) for d in through]
+    system += [Halfplane(d, d.a * x + d.b * y + draw(shift)) for d in normals]
+    return draw(st.permutations(system))
 
 
 def _fraction_sign(h: Halfplane, p: Point) -> int:
@@ -267,6 +289,18 @@ class TestContains:
             assert h.side(p) == _fraction_sign(h, p)
 
 
+def _fraction_vertices(system):
+    """`_plus_vertices` before `_farkas` placed the meets: a `Point` for every
+    pair's meet, kept if `contains` it.  The slow reference for the vertices."""
+    out = []
+    for i in range(len(system)):
+        for j in range(i + 1, len(system)):
+            p = line_intersect(system[i], system[j])
+            if p is not None and contains(system, p):
+                out.append(p)
+    return out
+
+
 def _unmerged_solve(system):
     """The kernel before it reduced by `tightest`: the slow reference."""
     if not system:
@@ -281,7 +315,7 @@ def _unmerged_solve(system):
         if -lo[0] > hi[0]:
             return None
         return _foot_of_perpendicular(system[min(lo[1], hi[1])])
-    return min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
+    return min(_fraction_vertices(system), key=lambda p: (p.x, p.y), default=None)
 
 
 # Antiparallel pairs, so that strips and repeated directions are common.
@@ -296,6 +330,36 @@ def systems(draw):
     pool = draw(st.lists(st.sampled_from(NORMALS), min_size=1, max_size=4, unique=True))
     offsets = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     return draw(st.lists(st.builds(Halfplane, st.sampled_from(pool), offsets), max_size=8))
+
+
+class TestPlusVertices:
+    @settings(max_examples=400, deadline=None)
+    @given(systems())
+    def test_matches_fraction_vertices(self, system):
+        assert _plus_vertices(system) == _fraction_vertices(system)
+
+    @settings(max_examples=400, deadline=None)
+    @given(concurrent_systems())
+    def test_matches_fraction_vertices_on_concurrent_lines(self, system):
+        assert _plus_vertices(system) == _fraction_vertices(system)
+
+    @settings(max_examples=200, deadline=None)
+    @given(concurrent_systems())
+    def test_farkas_places_each_meet(self, system):
+        # At the meet v of lines 1 and 2, sign(S w3) is the sign of
+        # c3 - n3 . v, and the weights make the three normals sum to 0.
+        rows = [_row(h) for h in system]
+        for i, j in itertools.combinations(range(len(system)), 2):
+            v = _fraction_cramer(system[i], system[j])
+            if v is None:
+                continue
+            n1, n2 = system[i].normal, system[j].normal
+            for k, h in enumerate(system):
+                w1, w2, w3, s = _farkas(rows[i], rows[j], rows[k])
+                assert w3 == cross(n1, n2)
+                assert w1 * n1.a + w2 * n2.a + w3 * h.normal.a == 0
+                assert w1 * n1.b + w2 * n2.b + w3 * h.normal.b == 0
+                assert (s * w3 > 0) - (s * w3 < 0) == -_fraction_sign(h, v)
 
 
 def _fraction_tightest(system):
@@ -403,7 +467,7 @@ def _enumerating_solve(system):
         if first.offset + system[1].offset < 0:
             return None
         return _foot_of_perpendicular(first)
-    return min(_plus_vertices(system), key=lambda p: (p.x, p.y), default=None)
+    return min(_fraction_vertices(system), key=lambda p: (p.x, p.y), default=None)
 
 
 def _matrix_search_certificate(system):
@@ -516,6 +580,27 @@ class TestPlusEmpty:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["farkas-certificate", "False"]
+
+    def test_square_witness_meets_each_vertex_once(self, monkeypatch):
+        # Only the four vertices of the unit square get a `Point`; its two
+        # parallel pairs are skipped.
+        meets = count_calls(monkeypatch, "geometry", "line_intersect")
+        assert canonical_witness([X_GE(0), Y_GE(0), X_LE(1), Y_LE(1)]) == Point(0, 0)
+        assert len(meets) == 4
+
+    def test_polygon_witness_skips_search(self, monkeypatch):
+        searches = count_calls(monkeypatch, "geometry", "_search_certificate")
+        assert canonical_witness(UNIT_TRIANGLE) == Point(0, 0)
+        assert canonical_witness([X_GE(0), Y_GE(0), X_LE(1), Y_LE(1)]) == Point(0, 0)
+        assert searches == []
+        assert feasible([X_GE(1), Y_GE(1), SUM_LE(1)]) is None
+        assert len(searches) == 1
+
+    def test_witness_outside_region_raises(self, monkeypatch):
+        monkeypatch.setattr("polypierce.geometry._plus_vertices",
+                            lambda system: [Point(1, 1)])
+        with pytest.raises(ClaimViolation, match="^kernel-agreement"):
+            feasible(UNIT_TRIANGLE)
 
     def test_witness_without_vertex_raises(self, monkeypatch):
         monkeypatch.setattr("polypierce.geometry._plus_vertices", lambda system: [])
