@@ -36,7 +36,7 @@ class NotSpecialClass(PolypierceError):
 
 
 class TooLarge(PolypierceError):
-    """Instance exceeds the exact oracle's member limit."""
+    """Instance over the exact oracle's member limit, or a rational too long to write."""
 
 
 class AuditFailure(PolypierceError):

@@ -125,22 +125,16 @@ def validate_template(t: Template) -> list[str]:
     if not report:
         # Cyclic angular order: strictly increasing once rotated to start at
         # the smallest angle (exactly one wrap-around descent).
-        descents = sum(
-            1
-            for i in range(t.n)
-            if angle_cmp(t.normals[i], t.normals[(i + 1) % t.n]) >= 0
-        )
+        descents = sum(angle_cmp(t.normals[i], t.normals[(i + 1) % t.n]) >= 0
+                       for i in range(t.n))
         if descents != 1:
             report.append("normals are not in strictly increasing cyclic angular order")
     if report:
         return report
     for i in range(t.n):
-        d1 = t.normals[i]
-        d2 = t.normals[(i + 1) % t.n]
-        if cross(d1, d2) <= 0:
-            report.append(
-                f"angular gap between normals {i} and {(i + 1) % t.n} is >= pi"
-            )
+        j = (i + 1) % t.n
+        if cross(t.normals[i], t.normals[j]) <= 0:
+            report.append(f"angular gap between normals {i} and {j} is >= pi")
     if report:
         return report
     # Every gap is below pi, so the reference region is bounded: a halfplane
@@ -160,8 +154,10 @@ def joint_system(f: Family, indices) -> list[Halfplane]:
 
 
 def pairwise_check(f: Family) -> list[tuple[int, int]]:
-    """Member-index pairs with empty (closed) intersection; empty list iff
-    the family is pairwise intersecting."""
+    """Pairs of distinct members with empty (closed) intersection; empty list
+    iff the family is pairwise intersecting.  Nonempty members are a
+    precondition, checked where families enter (`load_family`, `generate`, the
+    oracle); on an empty member the piercing algorithms raise ClaimViolation."""
     return [pair for pair in combinations(range(len(f.members)), 2)
             if plus_empty(joint_system(f, pair)) is not None]
 
@@ -172,7 +168,10 @@ def minimal_system(f: Family, ids=None) -> MinimalSystem:
     joint = joint_system(f, range(len(f.members)) if ids is None else ids)
     entries = {index[h.normal]: h for h in tightest(joint)}
     # Consequence of pairwise intersection: any two minimal plus sides meet.
+    # One halfplane per direction, so only an antiparallel pair can miss.
     for a, b in combinations(sorted(entries), 2):
+        if cross(entries[a].normal, entries[b].normal) != 0:
+            continue
         certificate = plus_empty([entries[a], entries[b]])
         if certificate is not None:
             halfplanes, weights = certificate

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+from .errors import TooLarge
 from .family import Family, RelatedPolygon, Template, validate_template
 from .geometry import Direction, Point, plus_empty
 
@@ -32,6 +33,16 @@ def parse_rational(s) -> Fraction:
         raise InvalidInstance(f"bad rational {s!r}: {exc}") from None
 
 
+def _text(c: Fraction) -> str:
+    """`c` as a "p/q" (or "p") string: the one place a rational is written.
+    TooLarge when a part has more digits than Python writes out
+    (`sys.get_int_max_str_digits`)."""
+    try:
+        return str(c)
+    except ValueError as exc:
+        raise TooLarge(f"a rational is too long to write: {exc}") from None
+
+
 def _array(value, what: str, length: Optional[int] = None) -> list:
     """`value` if it is a JSON array (of `length` entries, if given)."""
     if not isinstance(value, list) or length is not None and len(value) != length:
@@ -45,10 +56,10 @@ def family_to_dict(f: Family) -> dict:
         "version": FORMAT_VERSION,
         "template": {
             "normals": [[d.a, d.b] for d in f.template.normals],
-            "reference_offsets": [str(c) for c in f.template.reference_offsets],
+            "reference_offsets": [_text(c) for c in f.template.reference_offsets],
         },
         "members": [
-            {"offsets": {str(j): str(c) for j, c in m.offsets.items()}}
+            {"offsets": {str(j): _text(c) for j, c in m.offsets.items()}}
             for m in f.members
         ],
     }
@@ -123,7 +134,7 @@ def load_points(path: str) -> list[Point]:
 
 
 def points_to_list(points) -> list[list[str]]:
-    return [[str(p.x), str(p.y)] for p in points]
+    return [[_text(p.x), _text(p.y)] for p in points]
 
 
 def points_from_list(data) -> list[Point]:
@@ -143,12 +154,12 @@ def _trace_summary(node) -> dict:
     if node.bucket_sizes is not None:
         out["bucket_sizes"] = list(node.bucket_sizes)
     if node.leaf_witness is not None:
-        out["leaf_witness"] = [str(node.leaf_witness.x), str(node.leaf_witness.y)]
+        out["leaf_witness"] = [_text(node.leaf_witness.x), _text(node.leaf_witness.y)]
     if node.notes.get("case2") is not None:
         c2 = node.notes["case2"]
         out["case2"] = {
             "chosen_i": c2["chosen_i"],
-            "X": [str(c2["X"].x), str(c2["X"].y)],
+            "X": [_text(c2["X"].x), _text(c2["X"].y)],
         }
     if node.children:
         out["children"] = [_trace_summary(c) for c in node.children]

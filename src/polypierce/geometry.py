@@ -3,24 +3,25 @@
 All coordinates are `fractions.Fraction`; every predicate is decided exactly.
 A halfplane is stored as an outward normal plus an offset.  Its plus side is
 {p : normal . p <= offset}, the minus side is {p : normal . p >= offset}, and
-the two sides share the boundary line.
+the two sides share the boundary line.  Each value builds its integers once:
+a `Halfplane` its row (a, b, p, q), a x + b y <= p / q with q > 0, and a
+`Point` its homogeneous (X, Y, W), W > 0.  The kernel computes on these only.
 
 `plus_empty` is the one routine that decides whether a plus-intersection is
 empty.  By Helly's theorem in the plane the intersection is empty iff that of
 some pair or triple of its halfplanes is, and Farkas' lemma gives each empty
 one a certificate: positive integer weights under which the normals sum to 0
-and the offsets to a negative number.  `plus_empty` checks that identity
-before it answers "empty".  `tightest` is the one owner of the rule that a
-plus-intersection depends only on the tightest halfplane per normal:
-`plus_empty` searches its output, the witness (`_solve`) enumerates on it,
-and `family.minimal_system` reads its entries from it.
-Two integer signs decide the rest.  `Halfplane.side` is the one sign
-predicate on points: `contains` (the one plus-side containment predicate),
-every on-line or minus-side check and the check of every witness ask it.
-`_farkas` is the one sign on line triples: it decides both a triple's
-emptiness and whether the meet of two lines is on a third's plus side, so
-`_plus_vertices` (witnesses, `region_vertices`) builds a `Point` only for a
-vertex.
+and the offsets to a negative number.  `_check_certificate` checks it on the
+offsets' `Fraction`s, apart from the search's rows.  `tightest` is the one
+owner of the rule that a plus-intersection depends only on the tightest
+halfplane per normal: `plus_empty` searches its output, the witness
+(`_solve`) enumerates on it, and `family.minimal_system` reads its entries.
+`Halfplane.side` is the one sign predicate on points: `contains` (the one
+plus-side containment predicate), every on-line or minus-side check and the
+check of every witness ask it.  `_farkas` is the one sign on line triples: it
+decides both a triple's emptiness and whether the meet of two lines is on a
+third's plus side, so `_plus_vertices` (witnesses, `region_vertices`) builds
+a `Point` only for a vertex.
 
 The witness depends only on the region, except in a strip (all normals
 parallel), where the tie goes to the earlier of the two tightest lines.
@@ -49,8 +50,12 @@ class Point:
     y: Fraction
 
     def __init__(self, x, y):
-        object.__setattr__(self, "x", _frac(x))
-        object.__setattr__(self, "y", _frac(y))
+        x, y = _frac(x), _frac(y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "xyw", (x.numerator * y.denominator,
+                                         y.numerator * x.denominator,
+                                         x.denominator * y.denominator))
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -108,11 +113,7 @@ def angle_cmp(d1: Direction, d2: Direction) -> int:
     if h1 != h2:
         return -1 if h1 < h2 else 1
     c = cross(d1, d2)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    return (c < 0) - (c > 0)
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,18 @@ class Halfplane:
     offset: Fraction
 
     def __init__(self, normal: Direction, offset):
+        offset = _frac(offset)
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", _frac(offset))
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "row", (normal.a, normal.b,
+                                         offset.numerator, offset.denominator))
 
     def side(self, p: Point) -> int:
         """Sign of normal . p - offset: -1 strictly on the plus side, 0 on the
-        line, 1 strictly on the minus side.  Integer work only, the positive
-        denominators cleared: this is the innermost test of every kernel call."""
-        n, x, y, c = self.normal, p.x, p.y, self.offset
-        lhs = n.a * x.numerator * y.denominator + n.b * y.numerator * x.denominator
-        diff = lhs * c.denominator - c.numerator * x.denominator * y.denominator
+        line, 1 strictly on the minus side.  Integer work only, on the row and
+        the point's (X, Y, W): the innermost test of every kernel call."""
+        (a, b, c, q), (x, y, w) = self.row, p.xyw
+        diff = (a * x + b * y) * q - c * w
         return (diff > 0) - (diff < 0)
 
     def __repr__(self):
@@ -142,8 +145,8 @@ def line_intersect(h1: Halfplane, h2: Halfplane) -> Optional[Point]:
     d = cross(h1.normal, h2.normal)
     if d == 0:
         return None
-    # Cramer's rule on the offsets' integer numerators and denominators.
-    (a1, b1, p1, q1), (a2, b2, p2, q2) = _row(h1), _row(h2)
+    # Cramer's rule on the two rows.
+    (a1, b1, p1, q1), (a2, b2, p2, q2) = h1.row, h2.row
     den = d * q1 * q2
     return Point(Fraction(p1 * q2 * b2 - p2 * q1 * b1, den),
                  Fraction(a1 * p2 * q1 - a2 * p1 * q2, den))
@@ -160,13 +163,8 @@ def _foot_of_perpendicular(h: Halfplane) -> Point:
     return line_intersect(h, Halfplane(Direction(-h.normal.b, h.normal.a), 0))
 
 
-def _row(h: Halfplane) -> tuple[int, int, int, int]:
-    """The integers (a, b, p, q) of h: a x + b y <= p / q with q > 0."""
-    return h.normal.a, h.normal.b, h.offset.numerator, h.offset.denominator
-
-
 def _farkas(r1, r2, r3) -> tuple[int, int, int, int]:
-    """Farkas' sum over three lines given as rows (see `_row`): the weights
+    """Farkas' sum over three lines given as rows (`Halfplane.row`): the weights
     w1 = cross(n2, n3), w2 = cross(n3, n1), w3 = cross(n1, n2), under which
     the normals sum to 0 (if no two are parallel, the only such weights up to
     scale), and S, the weighted offsets' sum times q1 q2 q3.
@@ -187,7 +185,7 @@ def _plus_vertices(system: Sequence[Halfplane]) -> list[Point]:
     boundary lines meet appears once per pair.  Each meet is placed by
     `_farkas` against every line, and a `Point` is built only for a vertex.
     """
-    rows = [_row(h) for h in system]
+    rows = [h.row for h in system]
     out = []
     for i, j in combinations(range(len(rows)), 2):
         if cross(system[i].normal, system[j].normal) != 0 and all(
@@ -202,19 +200,18 @@ def tightest(system: Sequence[Halfplane]) -> list[Halfplane]:
     The plus-intersection is unchanged: every dropped halfplane's plus side
     contains the kept one's.  Winners stay in the order they appear in the
     input, so a later winner is popped and re-inserted.  Normals are keyed by
-    their (a, b) pair and offsets compared by integer cross-multiplication
-    (denominators are positive), since this runs on every kernel call.
+    their rows' (a, b) and offsets p / q compared by cross-multiplication
+    (q > 0), since this runs on every kernel call.
     """
     best: dict[tuple[int, int], Halfplane] = {}
     for h in system:
-        key = (h.normal.a, h.normal.b)
-        kept = best.get(key)
+        a, b, p, q = h.row
+        kept = best.get((a, b))
         if kept is None:
-            best[key] = h
-        elif (h.offset.numerator * kept.offset.denominator
-              < kept.offset.numerator * h.offset.denominator):
-            del best[key]
-            best[key] = h
+            best[a, b] = h
+        elif p * kept.row[3] < kept.row[2] * q:
+            del best[a, b]
+            best[a, b] = h
     return list(best.values())
 
 
@@ -227,7 +224,8 @@ def _check_certificate(certificate: Optional[Certificate]) -> Optional[Certifica
     """The search's answer, once a certificate in it passes Farkas' identity
     for an empty plus-intersection: every weight is a positive integer, the
     weighted normals sum to 0 and the weighted offsets to a negative number.
-    A plain check, so it runs under `python -O`."""
+    A plain check, so it runs under `python -O`.  It reads the offsets'
+    `Fraction`s, not the search's rows."""
     if certificate is None:
         return None
     halfplanes, weights = certificate
@@ -252,7 +250,7 @@ def _search_certificate(system: Sequence[Halfplane]) -> Optional[Certificate]:
     offsets sum below 0; `_farkas` tests a triple, and one holding a
     parallel pair is empty iff that pair is.
     """
-    rows = [_row(h) for h in system]
+    rows = [h.row for h in system]
     for i, j in combinations(range(len(rows)), 2):
         (ai, bi, pi, qi), (aj, bj, pj, qj) = rows[i], rows[j]
         if ai == -aj and bi == -bj and pi * qj + pj * qi < 0:

@@ -7,7 +7,6 @@ step; nothing rendered here is ever parsed back into a computation.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -36,15 +35,21 @@ def _box_halfplanes(xmin, ymin, xmax, ymax) -> list[Halfplane]:
 
 
 def _display_order(verts: list[Point]) -> list[Point]:
-    """Vertices sorted counterclockwise around their centroid; two or fewer
-    come back in lexicographic order."""
+    """Vertices sorted counterclockwise around their centroid, by the angle
+    in (-pi, pi] that `math.atan2` would give, but exactly; two or fewer come
+    back in lexicographic order."""
     if len(verts) <= 2:
         return sorted(verts, key=lambda q: (q.x, q.y))
     cx = sum(v.x for v in verts) / len(verts)
     cy = sum(v.y for v in verts) / len(verts)
 
     def polar(v: Point):
-        return math.atan2(float(v.y - cy), float(v.x - cx))
+        # Below the centroid (-pi, 0), then angle 0, above it (0, pi), then pi;
+        # within each open half the angle grows with -dx / dy.
+        dx, dy = v.x - cx, v.y - cy
+        if dy:
+            return (0 if dy < 0 else 2), -dx / dy
+        return (1 if dx >= 0 else 3), 0
 
     return sorted(verts, key=polar)
 

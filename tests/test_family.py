@@ -26,7 +26,11 @@ from polypierce import (
     verify_piercing,
 )
 from polypierce.pierce_general import partition_by_midpoints
-from conftest import antiparallel_families, families, planted_family, translate_of
+from conftest import (antiparallel_families, count_calls, families, planted_family,
+                      translate_of)
+
+SQUARE = Template([Direction(1, 0), Direction(0, 1), Direction(-1, 0), Direction(0, -1)],
+                  [1, 1, 1, 1])
 
 
 class TestValidateTemplate:
@@ -141,6 +145,23 @@ class TestPairwiseCheck:
     def test_three_translate_family(self, three_translate_family):
         assert pairwise_check(three_translate_family) == []
 
+    @pytest.mark.parametrize("template,offsets,claim", [
+        # x <= 0 and x >= 1: an antiparallel pair of one member misses.
+        (SQUARE, {0: 0, 2: -1}, "pairwise-minimal"),
+        # x <= 0, y <= 0 and x + y >= 1: three halfplanes of one member miss.
+        (Template([Direction(1, 0), Direction(0, 1), Direction(-1, -1)], [1, 1, 1]),
+         {0: 0, 1: 0, 2: -1}, "midpoint-partition"),
+    ])
+    def test_empty_member_is_a_precondition_the_algorithms_fail_closed_on(
+            self, template, offsets, claim):
+        # `pairwise_check` answers for pairs of distinct members only; the
+        # piercing algorithm raises instead of returning points.
+        fam = Family(template, [RelatedPolygon(offsets)])
+        assert pairwise_check(fam) == []
+        with pytest.raises(ClaimViolation) as info:
+            pierce_general(fam)
+        assert info.value.claim == claim
+
 
 class TestMinimalSystem:
     def test_single_member_is_its_own_minimum(self, unit_triangle):
@@ -159,6 +180,15 @@ class TestMinimalSystem:
         fam = Family(unit_triangle, [RelatedPolygon({0: 1}), RelatedPolygon({0: 2})])
         ms = minimal_system(fam)
         assert list(ms.entries) == [0] and ms.entries[0].offset == 1
+
+    def test_asks_the_kernel_only_about_antiparallel_pairs(self, monkeypatch):
+        # One halfplane per direction: of the square's 6 direction pairs only
+        # the 2 antiparallel ones can be disjoint.
+        calls = count_calls(monkeypatch, "family", "plus_empty")
+        ms = minimal_system(Family(SQUARE, [RelatedPolygon({0: 1, 1: 1, 2: 1, 3: 1})]))
+        assert ms.dirs() == [0, 1, 2, 3]
+        assert [[h.normal for h in system] for system in (c[0] for c in calls)] == [
+            [Direction(1, 0), Direction(-1, 0)], [Direction(0, 1), Direction(0, -1)]]
 
     def test_disjoint_pair_raises_under_python_O(self):
         # Checks must be raised errors, not asserts that -O strips.

@@ -97,6 +97,15 @@ def instance_file(three_translate_family, tmp_path):
     return path
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit (3.11+) on the digits it writes of an integer."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 # The documented chain, then an argparse error (--algo is required).
 CHAIN = [
     "generate --seed 5 --n 4 --members 5 --spread 2 --class theorem2 --out {d}/gen.json",
@@ -326,6 +335,43 @@ class TestCli:
         with open(svg) as fh:
             body = fh.read()
         assert body.startswith("<svg") and body.count("<polygon") >= 3
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="Python writes integers of any length before 3.11")
+    @pytest.mark.parametrize("command", [
+        "pierce {inst} --algo t1", "pierce {inst} --algo t1 --out {d}/res.json",
+        "exact {inst} --out {d}/opt.json"])
+    def test_rational_too_long_to_write_exits_2(self, tmp_path, capsys,
+                                               default_digit_limit, command):
+        # Offsets over denominators near 10^2500 are valid input, but the
+        # piercing points' parts have more digits than Python writes by default.
+        q1, q2, q3 = (10**2500 + k for k in (7, 9, 11))
+        members = [(f"{q1 + 1}/{q1}", f"{q2 + 3}/{q2}", f"{q3 + 5}/{q3}"),
+                   (f"{2 * q1 + 1}/{q1}", f"{q2 + 1}/{q2}", f"{q3 + 1}/{q3}")]
+        inst = tmp_path / "big.json"
+        inst.write_text(json.dumps({
+            "version": 1,
+            "template": {"normals": [[1, 0], [0, 1], [-1, -1]],
+                         "reference_offsets": ["1", "1", "1"]},
+            "members": [{"offsets": dict(zip("012", m))} for m in members]}))
+        assert main(["check", str(inst)]) == 0
+        capsys.readouterr()
+        assert main(command.format(inst=inst, d=tmp_path).split()) == 2
+        assert capsys.readouterr().err.startswith("instance too large: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+    def test_render_huge_coordinates(self, tmp_path):
+        # The display order is exact: no coordinate of 10^400 becomes a float.
+        inst, svg = tmp_path / "big.json", tmp_path / "out.svg"
+        inst.write_text(json.dumps({
+            "version": 1,
+            "template": {"normals": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                         "reference_offsets": ["1", "1", "1", "1"]},
+            "members": [{"offsets": {"0": str(10**400), "1": str(10**400)}},
+                        {"offsets": {"0": "1", "1": "1"}}]}))
+        assert main(["render", str(inst), "--svg", str(svg)]) == 0
+        body = svg.read_text()
+        assert body.startswith("<svg") and body.count("<polygon") == 2
 
     def test_render_deterministic(self, three_translate_family):
         pts = [Point(F(1, 2), F(1, 2))]

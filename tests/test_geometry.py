@@ -27,7 +27,6 @@ from polypierce.geometry import (
     _farkas,
     _foot_of_perpendicular,
     _plus_vertices,
-    _row,
     _search_certificate,
     cross,
     plus_empty,
@@ -281,11 +280,15 @@ class TestContains:
     @given(halfplanes(), RATIONALS, RATIONALS, RATIONALS)
     def test_side_matches_fraction_sign(self, h, x, y, t):
         # An arbitrary point, the foot of the perpendicular and a point t
-        # along the line from it: the last two lie on the line.
+        # along the line from it: the last two lie on the line.  `side`
+        # reads only the integer forms built in the constructors.
+        assert h.row == (h.normal.a, h.normal.b, h.offset.numerator, h.offset.denominator)
         foot = _foot_of_perpendicular(h)
         along = Point(foot.x - t * h.normal.b, foot.y + t * h.normal.a)
         assert _fraction_sign(h, foot) == _fraction_sign(h, along) == 0
         for p in (Point(x, y), foot, along):
+            X, Y, W = p.xyw
+            assert W > 0 and F(X, W) == p.x and F(Y, W) == p.y
             assert h.side(p) == _fraction_sign(h, p)
 
 
@@ -348,7 +351,7 @@ class TestPlusVertices:
     def test_farkas_places_each_meet(self, system):
         # At the meet v of lines 1 and 2, sign(S w3) is the sign of
         # c3 - n3 . v, and the weights make the three normals sum to 0.
-        rows = [_row(h) for h in system]
+        rows = [h.row for h in system]
         for i, j in itertools.combinations(range(len(system)), 2):
             v = _fraction_cramer(system[i], system[j])
             if v is None:

@@ -20,6 +20,7 @@ from polypierce import (
 )
 from polypierce.pierce_special import edge_slope, teo_check
 from conftest import count_calls, planted_family, translate_of
+from case2_cases import CASE2_LEFTMOST
 
 
 class TestClassify:
@@ -163,6 +164,18 @@ class TestPierceSpecialLarger:
         res = pierce_special(fam)
         used = set(res.assignment.values())
         assert used == set(range(len(res.points)))
+
+    @pytest.mark.parametrize("n,seed,m,normals,offsets,members,points", CASE2_LEFTMOST,
+                             ids=[f"n{c[0]}-seed{c[1]}-m{c[2]}" for c in CASE2_LEFTMOST])
+    def test_case2_takes_the_leftmost_p_i(self, n, seed, m, normals, offsets, members,
+                                          points):
+        # Frozen families on which a rightmost P_i would give other points.
+        fam = Family(Template([Direction(a, b) for a, b in normals], [F(c) for c in offsets]),
+                     [RelatedPolygon({j: F(c) for j, c in o.items()}) for o in members])
+        assert (fam.template.n, len(fam.members)) == (n, m)
+        res = pierce_special(fam)
+        assert any("case2" in node.notes for node in res.trace.children)
+        assert res.points == [Point(F(x), F(y)) for x, y in points]
 
     # Planted theorem2 n=6 families on which the loop takes two rounds.
     @pytest.mark.parametrize("seed", [1, 6, 9, 11, 12, 13, 14, 15])
