@@ -110,10 +110,9 @@ def cmd_pierce(args) -> int:
         return EXIT_CLAIM
     elapsed = time.perf_counter() - t0
     report = verify_piercing(fam, result.points)
-    data = result_to_dict(args.algo, result, report.ok,
-                          timings={"pierce_seconds": round(elapsed, 6)})
     if args.out:
-        save_json(data, args.out)
+        save_json(result_to_dict(args.algo, result, report.ok,
+                                 timings={"pierce_seconds": round(elapsed, 6)}), args.out)
     print(f"{len(result.points)} points (bound {result.bound}), "
           f"verified={report.ok}")
     if not report.ok:

@@ -22,7 +22,7 @@ from .geometry import (
     Direction,
     Halfplane,
     Point,
-    angle_cmp,
+    angle_key,
     contains,
     cross,
     feasible,  # noqa: F401 (perfbench/test_perfbench.py looks for this binding)
@@ -125,8 +125,8 @@ def validate_template(t: Template) -> list[str]:
     if not report:
         # Cyclic angular order: strictly increasing once rotated to start at
         # the smallest angle (exactly one wrap-around descent).
-        descents = sum(angle_cmp(t.normals[i], t.normals[(i + 1) % t.n]) >= 0
-                       for i in range(t.n))
+        keys = [angle_key(d.a, d.b) for d in t.normals]
+        descents = sum(keys[i] >= keys[(i + 1) % t.n] for i in range(t.n))
         if descents != 1:
             report.append("normals are not in strictly increasing cyclic angular order")
     if report:

@@ -9,15 +9,13 @@ rejection.
 
 from __future__ import annotations
 
-import functools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenerationExhausted, GenerationInvariant
 from .family import Family, RelatedPolygon, Template, pairwise_check
-from .geometry import Direction, Point, angle_cmp, canonical_witness, plus_empty
+from .geometry import Direction, Point, angle_key, canonical_witness, cross, plus_empty
 from .pierce_special import classify_special
 
 RETRY_LIMIT = 64
@@ -49,43 +47,25 @@ class GenConfig:
         object.__setattr__(self, "spread", Fraction(self.spread))
 
 
-def _strictly_convex_ccw(points) -> bool:
-    n = len(points)
-    if len(set(points)) != n:
-        return False
-    for i in range(n):
-        ax, ay = points[i]
-        bx, by = points[(i + 1) % n]
-        cx, cy = points[(i + 2) % n]
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-            return False
-    return True
-
-
-def _ccw_order(points):
-    cx = sum(p[0] for p in points) / len(points)
-    cy = sum(p[1] for p in points) / len(points)
-    return sorted(points, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-
-
 def _general_template(rng: random.Random, n: int) -> Template:
     for _ in range(RETRY_LIMIT):
         pts = [
             (rng.randint(-COORD_RANGE, COORD_RANGE), rng.randint(-COORD_RANGE, COORD_RANGE))
             for _ in range(n)
         ]
-        ordered = _ccw_order(pts)
-        if not _strictly_convex_ccw(ordered):
+        if len(set(pts)) != n:
             continue
-        pairs = []
-        for i in range(n):
-            ax, ay = ordered[i]
-            bx, by = ordered[(i + 1) % n]
-            normal = Direction(by - ay, -(bx - ax))
-            offset = Fraction(normal.a * ax + normal.b * ay)
-            pairs.append((normal, offset))
-        pairs.sort(key=functools.cmp_to_key(lambda p, q: angle_cmp(p[0], q[0])))
-        return Template([p[0] for p in pairs], [p[1] for p in pairs])
+        # Counterclockwise around the centroid, scaled by n to stay integer.
+        sx, sy = sum(x for x, _ in pts), sum(y for _, y in pts)
+        pts.sort(key=lambda p: angle_key(n * p[0] - sx, n * p[1] - sy))
+        edges = list(zip(pts, pts[1:] + pts[:1]))
+        normals = [Direction(by - ay, ax - bx) for (ax, ay), (bx, by) in edges]
+        # The template's own gap rule; a 90-degree turn keeps the edges' turns.
+        if any(cross(d, normals[(i + 1) % n]) <= 0 for i, d in enumerate(normals)):
+            continue
+        pairs = sorted(((d, Fraction(d.a * x + d.b * y)) for d, (x, y) in zip(normals, pts)),
+                       key=lambda p: angle_key(p[0].a, p[0].b))
+        return Template([d for d, _ in pairs], [c for _, c in pairs])
     raise GenerationExhausted(f"no strictly convex {n}-point set after {RETRY_LIMIT} tries")
 
 
@@ -137,19 +117,19 @@ def _droppable_dirs(t: Template, cfg: GenConfig) -> list[int]:
         return list(range(t.n))
     # Special-class algorithms assume every member keeps its horizontal and
     # vertical edges; only slope directions may be dropped.
-    return [j for j, _ in classify_special(t).slope_indices]
+    return sorted(j for j, _ in classify_special(t).slope_indices)
 
 
-def _draw_member(rng: random.Random, t: Template, cfg: GenConfig) -> RelatedPolygon:
+def _draw_member(rng: random.Random, t: Template, cfg: GenConfig,
+                 droppable: list[int]) -> RelatedPolygon:
     for _ in range(RETRY_LIMIT):
         offsets = {
             j: t.reference_offsets[j] + _rand_rational(rng, cfg.spread)
             for j in range(t.n)
         }
-        droppable = _droppable_dirs(t, cfg)
         if droppable and rng.random() < 1 / 3:
             k = rng.randint(1, min(len(droppable), t.n - 1))
-            for j in rng.sample(sorted(droppable), k):
+            for j in rng.sample(droppable, k):
                 del offsets[j]
         member = RelatedPolygon(offsets)
         if plus_empty(member.halfplanes(t)) is None:
@@ -188,8 +168,9 @@ def _repair(t: Template, members: list[RelatedPolygon]) -> Family:
 
 def random_family(t: Template, cfg: GenConfig) -> Family:
     rng = random.Random(f"{cfg.seed}|family|{cfg.members}|{cfg.spread}|{cfg.repair}")
+    droppable = _droppable_dirs(t, cfg)
     for _ in range(RETRY_LIMIT):
-        members = [_draw_member(rng, t, cfg) for _ in range(cfg.members)]
+        members = [_draw_member(rng, t, cfg, droppable) for _ in range(cfg.members)]
         if cfg.repair == "translate_repair":
             return _repair(t, members)
         fam = Family(t, members)

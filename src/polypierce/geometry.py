@@ -1,6 +1,8 @@
 """Exact rational 2D kernel: points, directions, halfplanes, predicates.
 
 All coordinates are `fractions.Fraction`; every predicate is decided exactly.
+`angle_key` is the one angular order, and no geometric decision uses a
+float: only the SVG's pixel coordinates are floats.
 A halfplane is stored as an outward normal plus an offset.  Its plus side is
 {p : normal . p <= offset}, the minus side is {p : normal . p >= offset}, and
 the two sides share the boundary line.  Each value builds its integers once:
@@ -103,17 +105,16 @@ def cross(d1: Direction, d2: Direction) -> int:
     return d1.a * d2.b - d1.b * d2.a
 
 
-def angle_cmp(d1: Direction, d2: Direction) -> int:
-    """Exact polar order on [0, 2pi) from the +x axis, as a cmp function.
+def angle_key(x, y) -> tuple:
+    """Sort key of the vector's angle on [0, 2pi) from the +x axis, exact on
+    integer or rational parts; the zero vector sorts with angle 0.
 
-    Directions in different half-turns compare by half-turn; within one, a
-    cross product decides.
+    Quarter-turn buckets: angle 0, (0, pi), pi, (pi, 2pi); within each open
+    half the angle grows with -x / y.
     """
-    h1, h2 = (0 if (d.b > 0 or (d.b == 0 and d.a > 0)) else 1 for d in (d1, d2))
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    c = cross(d1, d2)
-    return (c < 0) - (c > 0)
+    if y:
+        return (1 if y > 0 else 3), Fraction(-x, y)
+    return (0 if x >= 0 else 2), 0
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .family import Family, minimal_system
-from .geometry import Direction, Halfplane, Point, region_vertices
+from .geometry import Direction, Halfplane, Point, angle_key, region_vertices
 from .triangles import enumerate_empty_triangles
 
 _FILLS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -43,15 +43,11 @@ def _display_order(verts: list[Point]) -> list[Point]:
     cx = sum(v.x for v in verts) / len(verts)
     cy = sum(v.y for v in verts) / len(verts)
 
-    def polar(v: Point):
-        # Below the centroid (-pi, 0), then angle 0, above it (0, pi), then pi;
-        # within each open half the angle grows with -dx / dy.
-        dx, dy = v.x - cx, v.y - cy
-        if dy:
-            return (0 if dy < 0 else 2), -dx / dy
-        return (1 if dx >= 0 else 3), 0
+    def key(v: Point):
+        k, t = angle_key(v.x - cx, v.y - cy)
+        return (k + 1) % 4, t  # buckets remapped to math.atan2's (-pi, pi]
 
-    return sorted(verts, key=polar)
+    return sorted(verts, key=key)
 
 
 def _viewport(f: Family, points) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -336,13 +336,8 @@ class TestCli:
             body = fh.read()
         assert body.startswith("<svg") and body.count("<polygon") >= 3
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                        reason="Python writes integers of any length before 3.11")
-    @pytest.mark.parametrize("command", [
-        "pierce {inst} --algo t1", "pierce {inst} --algo t1 --out {d}/res.json",
-        "exact {inst} --out {d}/opt.json"])
-    def test_rational_too_long_to_write_exits_2(self, tmp_path, capsys,
-                                               default_digit_limit, command):
+    @pytest.fixture
+    def too_long_instance(self, tmp_path, capsys, default_digit_limit):
         # Offsets over denominators near 10^2500 are valid input, but the
         # piercing points' parts have more digits than Python writes by default.
         q1, q2, q3 = (10**2500 + k for k in (7, 9, 11))
@@ -356,8 +351,29 @@ class TestCli:
             "members": [{"offsets": dict(zip("012", m))} for m in members]}))
         assert main(["check", str(inst)]) == 0
         capsys.readouterr()
-        assert main(command.format(inst=inst, d=tmp_path).split()) == 2
+        return inst
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="Python writes integers of any length before 3.11")
+    @pytest.mark.parametrize("command", [
+        "pierce {inst} --algo t1 --out {d}/res.json", "exact {inst} --out {d}/opt.json"])
+    def test_rational_too_long_to_write_exits_2(self, tmp_path, capsys,
+                                               too_long_instance, command):
+        assert main(command.format(inst=too_long_instance, d=tmp_path).split()) == 2
         assert capsys.readouterr().err.startswith("instance too large: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="Python writes integers of any length before 3.11")
+    @pytest.mark.parametrize("command, line", [
+        pytest.param("pierce {inst} --algo t1", "1 points (bound 1), verified=True",
+                     id="pierce {inst} --algo t1"),
+        pytest.param("exact {inst}", "optimum 1", id="exact {inst}")])
+    def test_too_long_rationals_unwritten_exit_0(self, tmp_path, capsys,
+                                                too_long_instance, command, line):
+        # Without --out no rational is written, so nothing is too large.
+        assert main(command.format(inst=too_long_instance).split()) == 0
+        assert capsys.readouterr().out.splitlines() == [line]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
     def test_render_huge_coordinates(self, tmp_path):
