@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import TooLarge
-from .family import Family, RelatedPolygon, Template, validate_template
-from .geometry import Direction, Point, plus_empty
+from .family import Family, RelatedPolygon, Template, joint_empty, validate_template
+from .geometry import Direction, Point
 
 FORMAT_VERSION = 1
 
@@ -104,7 +104,7 @@ def family_from_dict(data: dict) -> Family:
         raise InvalidInstance("invalid template: " + "; ".join(report))
     f = Family(template, members)
     for i in range(len(members)):
-        if plus_empty(f.member_halfplanes(i)) is not None:
+        if joint_empty(f, (i,)) is not None:
             raise InvalidInstance(f"member {i} is empty")
     if not members:
         raise InvalidInstance("family needs at least one member")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import GenerationExhausted, GenerationInvariant
 from .family import Family, RelatedPolygon, Template, pairwise_check
-from .geometry import Direction, Point, angle_key, canonical_witness, cross, plus_empty
+from .geometry import Direction, Point, angle_key, canonical_witness, plus_empty
 from .pierce_special import classify_special
 
 RETRY_LIMIT = 64
@@ -58,11 +58,13 @@ def _general_template(rng: random.Random, n: int) -> Template:
         # Counterclockwise around the centroid, scaled by n to stay integer.
         sx, sy = sum(x for x, _ in pts), sum(y for _, y in pts)
         pts.sort(key=lambda p: angle_key(n * p[0] - sx, n * p[1] - sy))
-        edges = list(zip(pts, pts[1:] + pts[:1]))
-        normals = [Direction(by - ay, ax - bx) for (ax, ay), (bx, by) in edges]
-        # The template's own gap rule; a 90-degree turn keeps the edges' turns.
-        if any(cross(d, normals[(i + 1) % n]) <= 0 for i, d in enumerate(normals)):
+        edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+        # The template's own gap rule, on the edge vectors: the normals are
+        # their quarter turns over their gcds, which keeps every cross's sign.
+        turns = zip(edges, edges[1:] + edges[:1])
+        if any(ux * vy - uy * vx <= 0 for (ux, uy), (vx, vy) in turns):
             continue
+        normals = [Direction(uy, -ux) for ux, uy in edges]
         pairs = sorted(((d, Fraction(d.a * x + d.b * y)) for d, (x, y) in zip(normals, pts)),
                        key=lambda p: angle_key(p[0].a, p[0].b))
         return Template([d for d, _ in pairs], [c for _, c in pairs])

@@ -9,12 +9,14 @@ the two sides share the boundary line.  Each value builds its integers once:
 a `Halfplane` its row (a, b, p, q), a x + b y <= p / q with q > 0, and a
 `Point` its homogeneous (X, Y, W), W > 0.  The kernel computes on these only.
 
-`plus_empty` is the one routine that decides whether a plus-intersection is
-empty.  By Helly's theorem in the plane the intersection is empty iff that of
-some pair or triple of its halfplanes is, and Farkas' lemma gives each empty
-one a certificate: positive integer weights under which the normals sum to 0
-and the offsets to a negative number.  `_check_certificate` checks it on the
-offsets' `Fraction`s, apart from the search's rows.  `tightest` is the one
+`plus_empty` decides whether a plus-intersection is empty; on the members of
+a `Family`, `family.joint_empty` decides it by the same test from the
+family's integer Farkas table.  By Helly's theorem in the plane the
+intersection is empty iff that of some pair or triple of its halfplanes is,
+and Farkas' lemma gives each empty one a certificate: positive integer
+weights under which the normals sum to 0 and the offsets to a negative
+number.  `_check_certificate` checks it on the offsets' `Fraction`s, apart
+from the search's rows and the family's table.  `tightest` is the one
 owner of the rule that a plus-intersection depends only on the tightest
 halfplane per normal: `plus_empty` searches its output, the witness
 (`_solve`) enumerates on it, and `family.minimal_system` reads its entries.

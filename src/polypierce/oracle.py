@@ -3,17 +3,18 @@
 A set of members is 1-pierceable iff their joint halfplane system is
 feasible, so the minimum piercing number is a minimum partition of the
 member set into feasible subsets (feasibility is hereditary).  A mask of at
-most 3 members asks `plus_empty` about their joint system.  A larger mask is
-feasible iff the four masks that drop one of its four lowest members are, and
-the increasing sweep over masks has decided those: by Helly's theorem in the
-plane an infeasible mask holds an infeasible set of at most 3 members, and one
-of any four members lies outside that set, so dropping it leaves an infeasible
-mask.  The partition of a feasible mask is the mask.  That of an infeasible
-one is the first feasible submask in decreasing order that holds its lowest
-member and leaves a rest with the fewest groups, then the rest's partition
-(what a cover table over all masks that keeps strict improvements only
-picks).  An infeasible mask needs two groups or more, so the first submask
-whose rest is feasible wins.
+most 3 members asks the family's Farkas table (`family.joint_empty`), which
+answers from integer minima and checks the certificate of every empty one.
+A larger mask is feasible iff the four masks that drop one of its four
+lowest members are, and the increasing sweep over masks has decided those:
+by Helly's theorem in the plane an infeasible mask holds an infeasible set
+of at most 3 members, and one of any four members lies outside that set, so
+dropping it leaves an infeasible mask.  The partition of a feasible mask is
+the mask.  That of an infeasible one is the first feasible submask in
+decreasing order that holds its lowest member and leaves a rest with the
+fewest groups, then the rest's partition (what a cover table over all masks
+that keeps strict improvements only picks).  An infeasible mask needs two
+groups or more, so the first submask whose rest is feasible wins.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import AuditFailure, TooLarge
-from .family import Family, joint_system
-from .geometry import Point, canonical_witness, contains, plus_empty
+from .family import Family, joint_empty, joint_system
+from .geometry import Point, canonical_witness, contains
 
 
 @dataclass
@@ -68,21 +69,22 @@ def optimal_piercing(f: Family, member_limit: int = 16) -> OracleResult:
 
     full = (1 << m) - 1
     feas = [False] * (full + 1)
+    bits = [1 << i for i in range(m)]
     for k in (1, 2, 3):
-        for combo in combinations(range(m), k):
-            feas[sum(1 << i for i in combo)] = plus_empty(joint_system(f, combo)) is None
+        for combo, masks in zip(combinations(range(m), k), combinations(bits, k)):
+            feas[sum(masks)] = joint_empty(f, combo) is None
     for mask in range(1, full + 1):
-        if mask.bit_count() > 3:
-            # a, b, c, d: the bits of the mask's four lowest members.
-            a = mask & -mask
-            rest = mask ^ a
+        # a, b, c, d: the bits of the mask's four lowest members.  An
+        # infeasible mask mostly fails the first lookup, so b, c and d wait.
+        a = mask & -mask
+        rest = mask ^ a
+        if mask.bit_count() > 3 and feas[rest]:
             b = rest & -rest
             rest ^= b
             c = rest & -rest
             rest ^= c
             d = rest & -rest
-            feas[mask] = (feas[mask ^ a] and feas[mask ^ b]
-                          and feas[mask ^ c] and feas[mask ^ d])
+            feas[mask] = feas[mask ^ b] and feas[mask ^ c] and feas[mask ^ d]
     if not all(feas[1 << i] for i in range(m)):
         raise AuditFailure("some single member is empty; family is unpierceable")
 

@@ -44,6 +44,16 @@ def planted_family(seed: int, class_mode: str, n: int, members: int) -> Family:
     return build(seed, seed, class_mode, n, members)
 
 
+def shifted(fam: Family, step) -> Family:
+    """`fam` with member i translated by (i * step, 0): members shifted apart
+    stop meeting, so the family is no longer pairwise intersecting."""
+    t = fam.template
+    return Family(t, [
+        RelatedPolygon({j: c + t.normals[j].dot(Point(i * step, 0))
+                        for j, c in member.offsets.items()})
+        for i, member in enumerate(fam.members)])
+
+
 def count_calls(monkeypatch, module: str, name: str) -> list:
     """Rebind `name` in the module `polypierce.<module>` to a wrapper that
     records one entry per call.  (The package namespace binds some module

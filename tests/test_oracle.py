@@ -10,6 +10,7 @@ from polypierce import (
     Direction,
     Family,
     GenConfig,
+    Halfplane,
     Point,
     RelatedPolygon,
     Template,
@@ -21,8 +22,9 @@ from polypierce import (
     pierce_general,
     verify_piercing,
 )
+from polypierce.geometry import _check_certificate
 from polypierce.oracle import _cover
-from conftest import count_calls, planted_family, translate_of
+from conftest import count_calls, planted_family, shifted, translate_of
 
 
 class TestVerifyPiercing:
@@ -155,9 +157,9 @@ def test_optimum_matches_brute_force_cover(seed, class_mode, n, monkeypatch):
     direct = lambda block: feasible(
         [h for i in block for h in fam.member_halfplanes(i)]) is not None
     expected = _min_partition(m, direct)
-    calls = count_calls(monkeypatch, "oracle", "plus_empty")
+    calls = count_calls(monkeypatch, "oracle", "joint_empty")
     assert optimal_piercing(fam).optimum == expected
-    # The oracle asks `plus_empty` once per subset of at most 3 members.
+    # The oracle asks `joint_empty` once per subset of at most 3 members.
     assert len(calls) == sum(comb(m, k) for k in (1, 2, 3))
 
 
@@ -247,26 +249,29 @@ def bad_subsets(draw):
 @settings(max_examples=150, deadline=None)
 @given(bad_subsets())
 def test_four_lookup_table_matches_drop_every_member_sweep(case):
-    # Member i is the halfplane x + y <= i, so a joint system names its
-    # members by its offsets.  `plus_empty` is patched to call a system empty
-    # iff its members hold a bad pair or triple; the table the oracle hands
-    # `_cover` must equal the sweep's on every mask.
+    # Member i is the halfplane x + y <= i.  `joint_empty` is patched to call
+    # a member set empty iff it holds a bad pair or triple, with a certificate
+    # of the kind the real one returns; the table the oracle hands `_cover`
+    # must equal the sweep's on every mask.
     m, bad = case
     t = Template([Direction(1, 1), Direction(-1, 0), Direction(0, -1)], [1, 0, 0])
     fam = Family(t, [RelatedPolygon({0: i}) for i in range(m)])
     small_feasible = lambda combo: not any(b <= set(combo) for b in bad)
     calls, tables = [], []
+    # x + y <= -1, -x <= 0 and -y <= 0 meet nowhere (weights 1, 1, 1).
+    empty = ((Halfplane(Direction(1, 1), -1), Halfplane(Direction(-1, 0), 0),
+              Halfplane(Direction(0, -1), 0)), (1, 1, 1))
 
-    def fake_plus_empty(system):
-        calls.append(system)
-        return None if small_feasible([int(h.offset) for h in system]) else "empty"
+    def fake_joint_empty(f, ids):
+        calls.append(ids)
+        return None if small_feasible(ids) else _check_certificate(empty)
 
     def recording_cover(feas, mask, memo):  # also reached by _cover's recursion
         tables.append(feas)
         return _cover(feas, mask, memo)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("polypierce.oracle.plus_empty", fake_plus_empty)
+        mp.setattr("polypierce.oracle.joint_empty", fake_joint_empty)
         mp.setattr("polypierce.oracle._cover", recording_cover)
         res = optimal_piercing(fam)
     reference = _drop_every_member_sweep(m, small_feasible)
@@ -277,15 +282,6 @@ def test_four_lookup_table_matches_drop_every_member_sweep(case):
         assert (res.optimum, res.witness_groups) == (optimum, sorted(groups))
 
 
-def _shifted(fam: Family, step) -> Family:
-    """`fam` with member i translated by (i * step, 0)."""
-    t = fam.template
-    return Family(t, [
-        RelatedPolygon({j: c + t.normals[j].dot(Point(i * step, 0))
-                        for j, c in member.offsets.items()})
-        for i, member in enumerate(fam.members)])
-
-
 @pytest.mark.parametrize("class_mode,n", [("general", 4), ("theorem2", 5)])
 def test_optimum_and_groups_match_reference_dp(class_mode, n):
     # Members shifted apart stop meeting, so optima of 3 or more occur.  The
@@ -293,7 +289,7 @@ def test_optimum_and_groups_match_reference_dp(class_mode, n):
     optima = []
     for seed in range(1, 7):
         for step in (F(1, 2), F(1), F(2)):
-            fam = _shifted(planted_family(seed, class_mode, n, 8), step)
+            fam = shifted(planted_family(seed, class_mode, n, 8), step)
             m = len(fam.members)
             feas = [mask != 0 and feasible(
                 [h for i in range(m) if mask >> i & 1 for h in fam.member_halfplanes(i)])
